@@ -1,11 +1,13 @@
 """Shared workloads and reporting helpers for the experiment harness.
 
-Every ``bench_e*.py`` module regenerates one artefact of the experiment
-index in DESIGN.md: it *asserts* the paper's claim on a parameter sweep
-(so a regression fails the suite, not just slows it) and *benchmarks*
-the operation the claim is about.  Sweep tables are printed to stdout —
-run with ``pytest benchmarks/ --benchmark-only -s`` to see them; the
-recorded numbers live in EXPERIMENTS.md.
+Every ``bench_e*.py`` module is one experiment (E1–E20, named in its
+docstring): it *asserts* the paper's claim on a parameter sweep (so a
+regression fails the suite, not just slows it) and *benchmarks* the
+operation the claim is about.  Run the claims alone with
+``pytest -o python_files='bench_*.py' benchmarks/ --benchmark-disable``
+(as CI does); sweep tables are printed to stdout — run with
+``pytest -o python_files='bench_*.py' benchmarks/ --benchmark-only -s``
+to see them with timings.
 """
 
 from __future__ import annotations

@@ -162,12 +162,12 @@ def engine_rows(quick: bool) -> list[dict]:
             repeats=3,
         )
 
-    # Boros–Makino.  NOTE: use_bitset_kernels only reverts the
-    # restriction operators (project / restrict_to_subsets / contract);
-    # majority_vertices, marksmall and process_children run their mask
-    # inner loops unconditionally.  The bm "before" is therefore a
-    # partial revert — an underestimate of the full refactor's effect —
-    # which the per-row "before_scope" field records.
+    # Boros–Makino.  use_bitset_kernels(False) swaps the mask node
+    # kernel for the frozenset reference procedures (marksmall and
+    # process_children over restriction_instance), whose majority and
+    # transversal checks still run mask inner loops.  The bm "before" is
+    # therefore a partial revert — an underestimate of the full
+    # refactor's effect — which the per-row "before_scope" field records.
     bm_instances = [("matching-6", matching_dual_pair(6))]
     if not quick:
         bm_instances.append(("matching-7", matching_dual_pair(7)))
@@ -189,7 +189,7 @@ def engine_rows(quick: bool) -> list[dict]:
             lambda g=g, h=h: decide_boros_makino(g, h),
             repeats=2 if not quick else 1,
         )
-        rows[-1]["before_scope"] = "restriction-ops-only"
+        rows[-1]["before_scope"] = "frozenset-node-step"
     return rows
 
 

@@ -18,12 +18,6 @@ which is precisely how Theorem 5.2 embeds the class into
 
 from __future__ import annotations
 
-from repro.core import (
-    VertexIndex,
-    is_new_transversal_mask,
-    iter_bits,
-    mask_sort_key,
-)
 from repro.hypergraph import Hypergraph
 from repro.machine.meter import SpaceMeter
 from repro.duality.conditions import prepare_instance
@@ -99,157 +93,7 @@ def certificate_for(
     return None
 
 
-class _MaskTreeWalker:
-    """The decomposition-tree walk of Section 5's checker, on masks.
-
-    The frozenset enumeration (:func:`iter_tree_nodes`) re-derives each
-    node's instance with the restriction operators and ``frozenset``
-    scopes; this walker keeps the *entire* state — scopes, instances,
-    majority sets, witnesses — as integers over one
-    :class:`~repro.core.VertexIndex`, decoding only the final witness.
-    Every free choice follows the paper policy's canonical order, which
-    in the mask domain is ascending bit position / ``mask_sort_key``, so
-    labels, marks and witnesses coincide bit for bit with the frozenset
-    walk (the equivalence suite asserts it).
-    """
-
-    def __init__(self, g: Hypergraph, h: Hypergraph) -> None:
-        self.index = VertexIndex(g.vertices | h.vertices)
-        self.g_masks = tuple(self.index.encode(e) for e in g.edges)
-        self.h_masks = tuple(self.index.encode(e) for e in h.edges)
-        self.full = self.index.full_mask
-        self._finalized: dict[int, tuple[Mark, int]] = {}
-        self._children: dict[int, tuple[int, ...]] = {}
-
-    # -- restriction operators (G^S, H_S) ------------------------------
-
-    def _instance(self, scope: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        g_s = tuple(sorted({m & scope for m in self.g_masks}, key=mask_sort_key))
-        h_s = tuple(m for m in self.h_masks if m & scope == m)
-        return g_s, h_s
-
-    @staticmethod
-    def _majority(h_s: tuple[int, ...]) -> int:
-        threshold = len(h_s) / 2.0
-        counts: dict[int, int] = {}
-        for mask in h_s:
-            for bit in iter_bits(mask):
-                counts[bit] = counts.get(bit, 0) + 1
-        majority = 0
-        for bit, count in counts.items():
-            if count > threshold:
-                majority |= bit
-        return majority
-
-    # -- marking (marksmall + the process step-2 check) ----------------
-
-    def finalized(self, scope: int) -> tuple[Mark, int]:
-        """The ``(mark, t)`` of a node at ``scope`` (cached per scope)."""
-        cached = self._finalized.get(scope)
-        if cached is not None:
-            return cached
-        g_s, h_s = self._instance(scope)
-        if len(h_s) <= 1:
-            outcome = self._marksmall(g_s, h_s, scope)
-        else:
-            i_alpha = self._majority(h_s)
-            if is_new_transversal_mask(i_alpha, g_s, h_s):
-                outcome = (Mark.FAIL, i_alpha)
-            else:
-                outcome = (Mark.NIL, 0)
-        self._finalized[scope] = outcome
-        return outcome
-
-    @staticmethod
-    def _marksmall(
-        g_s: tuple[int, ...], h_s: tuple[int, ...], scope: int
-    ) -> tuple[Mark, int]:
-        g_set = frozenset(g_s)
-        empty_in_g = 0 in g_set
-        if not h_s and not empty_in_g:
-            return Mark.FAIL, scope  # case 1
-        if not h_s:
-            return Mark.DONE, 0  # case 2
-        (h_edge,) = h_s
-        if all(bit in g_set for bit in iter_bits(h_edge)):
-            return Mark.DONE, 0  # case 3
-        # case 4: lowest bit position == smallest vertex (paper policy).
-        chosen = next(bit for bit in iter_bits(h_edge) if bit not in g_set)
-        return Mark.FAIL, scope & ~chosen
-
-    # -- children (process steps 3-4) ----------------------------------
-
-    def children(self, scope: int) -> tuple[int, ...]:
-        """Ordered child scopes of an interior node (cached per scope)."""
-        cached = self._children.get(scope)
-        if cached is not None:
-            return cached
-        g_s, h_s = self._instance(scope)
-        i_alpha = self._majority(h_s)
-        missed = [m for m in g_s if not m & i_alpha]
-        if missed:
-            # Step 3: branch on the first G-edge disjoint from I_α.
-            g_edge = min(missed, key=mask_sort_key)
-            avoid = scope & ~g_edge
-            survivors = [m for m in g_s if m & avoid != m]
-            scopes = {
-                scope & ~(e & ~bit)
-                for e in survivors
-                for bit in iter_bits(e & g_edge)
-            }
-        else:
-            # Step 4: branch on the first H-edge inside I_α.
-            covered = [m for m in h_s if m & i_alpha == m]
-            h_edge = min(covered, key=mask_sort_key)
-            scopes = {scope & ~bit for bit in iter_bits(h_edge)} | {h_edge}
-        ordered = tuple(sorted(scopes, key=mask_sort_key))
-        self._children[scope] = ordered
-        return ordered
-
-    # -- traversal ------------------------------------------------------
-
-    def iter_nodes(self):
-        """All nodes in DFS (label) order, as ``(label, scope, mark, t)``.
-
-        The visiting order replicates :func:`iter_tree_nodes` exactly:
-        canonical scope order equals ascending ``mask_sort_key``.
-        """
-        mark, witness = self.finalized(self.full)
-        yield (), self.full, mark, witness
-        if mark is not Mark.NIL:
-            return
-        stack: list[tuple[tuple[int, ...], int, int]] = [((), self.full, 1)]
-        while stack:
-            label, scope, i = stack.pop()
-            kids = self.children(scope)
-            if i > len(kids):
-                continue
-            stack.append((label, scope, i + 1))
-            child_label = label + (i,)
-            child_scope = kids[i - 1]
-            child_mark, child_witness = self.finalized(child_scope)
-            yield child_label, child_scope, child_mark, child_witness
-            if child_mark is Mark.NIL:
-                stack.append((child_label, child_scope, 1))
-
-    def resolve(self, label: tuple[int, ...]) -> tuple[Mark, int] | None:
-        """The mask-domain ``pathnode``: re-derive a node from its label."""
-        scope = self.full
-        mark, witness = self.finalized(scope)
-        for i in label:
-            if mark is not Mark.NIL:
-                return None
-            kids = self.children(scope)
-            if i < 1 or i > len(kids):
-                return None
-            scope = kids[i - 1]
-            mark, witness = self.finalized(scope)
-        return mark, witness
-
-
-def decide_guess_and_check(
-    g: Hypergraph, h: Hypergraph, use_bitset: bool = True
-) -> DualityResult:
+def decide_guess_and_check(g: Hypergraph, h: Hypergraph) -> DualityResult:
     """Decide ``Dual`` by simulating the ``GC(log² n, ·)`` machine.
 
     All possible guesses are enumerated under space re-use (the
@@ -261,10 +105,10 @@ def decide_guess_and_check(
     ``t(α)``, re-derived from the certificate by ``pathnode`` — i.e. the
     verdict is *checked*, not trusted from the enumeration.
 
-    ``use_bitset=True`` (the default) runs the enumeration and the
-    certificate re-check on the :class:`_MaskTreeWalker`;
-    ``use_bitset=False`` keeps the frozenset reference walk.  Both
-    return identical verdicts, certificates, and node counts.
+    The walk is :func:`~repro.duality.logspace.iter_tree_nodes`, so it
+    runs on the mask node kernel unless ``use_bitset_kernels(False)``
+    selects the ``frozenset`` reference procedures; both return
+    identical verdicts, certificates, and node counts.
     """
     method = "guess-check"
     entry = prepare_instance(g, h)
@@ -273,35 +117,13 @@ def decide_guess_and_check(
             method, entry.failure, witness=entry.witness, detail=entry.detail
         )
     g_v, h_v = entry.g, entry.h
-    if len(h_v) > len(g_v):
-        swapped = True
+    swapped = len(h_v) > len(g_v)
+    if swapped:
         g_v, h_v = h_v, g_v
-    else:
-        swapped = False
 
     stats = DecisionStats(guessed_bits=descriptor_bits(g_v, h_v))
     stats.extra["swapped"] = swapped
     direction = "H wrt G" if swapped else "G wrt H"
-
-    if use_bitset:
-        walker = _MaskTreeWalker(g_v, h_v)
-        for label, _scope, mark, _witness in walker.iter_nodes():
-            stats.nodes += 1
-            if mark is Mark.FAIL:
-                verified = walker.resolve(label)
-                assert verified is not None and verified[0] is Mark.FAIL
-                return not_dual_result(
-                    method,
-                    FailureKind.MISSING_TRANSVERSAL,
-                    witness=walker.index.decode(verified[1]),
-                    detail=(
-                        f"accepted certificate {label}: new transversal "
-                        f"of {direction}"
-                    ),
-                    path=label,
-                    stats=stats,
-                )
-        return dual_result(method, stats)
 
     # Enumerate candidate guesses.  Pruned enumeration visits exactly the
     # valid descriptors; every skipped guess is one pathnode would map to

@@ -39,15 +39,11 @@ from functools import lru_cache
 
 from repro._util import bits_needed, vertex_key
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.transversal import is_new_transversal
+from repro.hypergraph.operations import bitset_kernels_enabled
 from repro.machine.meter import RegisterFile, SpaceMeter
 from repro.machine.pipeline import self_composition
 from repro.machine.transducer import FunctionTransducer
-from repro.duality.boros_makino import (
-    majority_vertices,
-    marksmall,
-    process_children,
-)
+from repro.duality.boros_makino import MaskNodes, _reference_expand
 from repro.duality.conditions import prepare_instance
 from repro.duality.result import (
     DecisionStats,
@@ -105,7 +101,7 @@ def descriptor_bits(g: Hypergraph, h: Hypergraph) -> int:
 
 @lru_cache(maxsize=65536)
 def _finalize_scope(
-    g: Hypergraph, h: Hypergraph, scope: frozenset
+    g: Hypergraph, h: Hypergraph, scope: frozenset, reference: bool
 ) -> tuple[Mark, frozenset]:
     """Scope-level finalisation: the ``(mark, t)`` a node at ``scope`` gets.
 
@@ -113,36 +109,42 @@ def _finalize_scope(
     on the scope (the instance is derived from it), so results are
     cached per scope.  The cache is a host-side *time* optimisation; the
     model-space accounting (``pathnode_metered``) is unaffected — a
-    Turing machine recomputes, we memoise.
+    Turing machine recomputes, we memoise.  ``reference`` — whether
+    ``use_bitset_kernels(False)`` selected the ``frozenset`` procedures
+    over the mask kernel — is part of the key, so neither path ever
+    answers for the other.
     """
-    probe = NodeAttributes((), scope, Mark.NIL, frozenset())
-    g_s, h_s = probe.instance(g, h)
-    if len(h_s) <= 1:
-        marked = marksmall(probe, g, h)
-        return marked.mark, marked.witness
-    i_alpha = majority_vertices(h_s)
-    if is_new_transversal(i_alpha, g_s, h_s):
-        return Mark.FAIL, i_alpha
-    return Mark.NIL, frozenset()
+    if reference:
+        probe = NodeAttributes((), scope, Mark.NIL, frozenset())
+        outcome = _reference_expand(probe, g, h)
+        if isinstance(outcome, NodeAttributes):
+            return outcome.mark, outcome.witness
+        return Mark.NIL, frozenset()
+    nodes = MaskNodes(g, h)
+    mark, witness = nodes.mark(nodes.index.encode(scope))
+    return mark, nodes.decode(witness)
 
 
 @lru_cache(maxsize=65536)
 def _children_scopes(
-    g: Hypergraph, h: Hypergraph, scope: frozenset
+    g: Hypergraph, h: Hypergraph, scope: frozenset, reference: bool
 ) -> tuple[frozenset, ...]:
     """The ordered child scopes of an *interior* node at ``scope``.
 
     ``process`` steps 3–5 depend only on the scope; cached so that
     enumerating children one index at a time (the ``next`` protocol)
-    costs one expansion per node instead of one per child.
+    costs one expansion per node instead of one per child.  A leaf
+    scope has no children (callers check finalisation first, so this
+    only guards misuse).  ``reference`` is as in :func:`_finalize_scope`.
     """
     probe = NodeAttributes((), scope, Mark.NIL, frozenset())
-    outcome = process_children(probe, g, h)
+    if reference:
+        outcome = _reference_expand(probe, g, h)
+    else:
+        outcome = MaskNodes(g, h).expand(probe)
     if isinstance(outcome, NodeAttributes):
-        # Step-2 fail: such a node is a leaf (callers check finalisation
-        # first, so this only guards misuse).
         return ()
-    return tuple(outcome)
+    return tuple(child.scope for child in outcome)
 
 
 def finalize(attrs: NodeAttributes, g: Hypergraph, h: Hypergraph) -> NodeAttributes:
@@ -150,11 +152,14 @@ def finalize(attrs: NodeAttributes, g: Hypergraph, h: Hypergraph) -> NodeAttribu
 
     ``marksmall`` for ``|H_S| ≤ 1``; the ``process`` step-2
     new-transversal check for ``|H_S| ≥ 2``; otherwise the node is
-    interior and keeps ``nil``.
+    interior and keeps ``nil``.  The node step runs on
+    :class:`~repro.duality.boros_makino.MaskNodes` unless
+    ``use_bitset_kernels(False)`` selects the ``frozenset`` procedures.
     """
     if attrs.mark is not Mark.NIL:
         return attrs
-    mark, witness = _finalize_scope(g, h, attrs.scope)
+    reference = not bitset_kernels_enabled()
+    mark, witness = _finalize_scope(g, h, attrs.scope, reference)
     if mark is Mark.NIL:
         return attrs
     return NodeAttributes(attrs.label, attrs.scope, mark, witness)
@@ -181,7 +186,7 @@ def next_attrs(
         raise ValueError("child indices start at 1")
     if attrs.mark is not Mark.NIL:
         return IMPOSSIBLE
-    scopes = _children_scopes(g, h, attrs.scope)
+    scopes = _children_scopes(g, h, attrs.scope, not bitset_kernels_enabled())
     if index > len(scopes):
         return IMPOSSIBLE
     raw = NodeAttributes(
@@ -368,8 +373,8 @@ def iter_tree_nodes(
     """All nodes of ``T(G, H)`` in DFS (label) order, via ``next`` only.
 
     Space-faithful in spirit: holds the current path's attributes (depth
-    ≤ ``⌊log |H|⌋``) instead of the whole tree.  Used by ``decompose``
-    and the Corollary 4.1 deciders.
+    ≤ ``⌊log |H|⌋``) instead of the whole tree.  Used by ``decompose``,
+    the Corollary 4.1 deciders and the guess-and-check walk.
     """
     root = initial_attrs(g, h)
     stack: list[tuple[NodeAttributes, int]] = [(root, 1)]
@@ -495,11 +500,9 @@ def decide_logspace(g: Hypergraph, h: Hypergraph) -> DualityResult:
             method, entry.failure, witness=entry.witness, detail=entry.detail
         )
     g_v, h_v = entry.g, entry.h
-    if len(h_v) > len(g_v):
-        swapped = True
+    swapped = len(h_v) > len(g_v)
+    if swapped:
         g_v, h_v = h_v, g_v
-    else:
-        swapped = False
 
     stats = DecisionStats()
     stats.extra["swapped"] = swapped

@@ -14,7 +14,8 @@ structures (paper, items (i)–(v)):
 Because ``inst(α)`` is fully determined by the original input and
 ``S_α`` (projection/restriction commute with nesting of scopes), nodes
 store the scope and derive the instance on demand — the property that
-Section 4's logspace re-derivation rests on.
+Section 4's logspace re-derivation rests on.  The engines work on the
+scope as one mask (:class:`repro.duality.boros_makino.MaskNodes`).
 
 Labels here are 0-free: the paper indexes children from 1, and so do we
 (``label = (i₁, …, i_k)`` with ``i_j ≥ 1``), matching the path
@@ -44,7 +45,8 @@ class NodeAttributes:
     """The attribute tuple ``attr(α) = (label, S_α, mark, t)``.
 
     The instance component of the paper's ``attr`` is derivable from
-    ``scope`` and the input; :meth:`instance` materialises it.
+    ``scope`` and the input; :meth:`instance` materialises it as
+    ``frozenset`` hypergraphs (the engines' reference path).
     """
 
     label: tuple[int, ...]
@@ -62,10 +64,6 @@ class NodeAttributes:
     def depth(self) -> int:
         """Distance from the root (the label's length)."""
         return len(self.label)
-
-    def is_marked(self) -> bool:
-        """True for ``done``/``fail`` (i.e. leaf) nodes."""
-        return self.mark is not Mark.NIL
 
     def child_label(self, index: int) -> tuple[int, ...]:
         """The label of the ``index``-th child (children indexed from 1)."""

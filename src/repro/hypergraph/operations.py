@@ -20,25 +20,31 @@ from repro.core import BitsetFamily, mask_sort_key
 from repro.errors import VertexError
 from repro.hypergraph.hypergraph import Hypergraph
 
-#: When True (the default), the restriction operators run on the bitset
-#: view of the input.  :func:`use_bitset_kernels` flips it — the perf
-#: harness uses the switch to measure the frozenset path "before" the
-#: refactor without checking out old code.
+#: When True (the default), the restriction operators and the tree
+#: engines' node step run on masks.  :func:`use_bitset_kernels` flips it —
+#: the perf harness uses the switch to measure the frozenset path
+#: "before" the refactor without checking out old code.
 _USE_BITSET = True
 
 
 def use_bitset_kernels(enabled: bool) -> bool:
     """Enable/disable the mask fast path of :func:`project`,
-    :func:`restrict_to_subsets` and :func:`contract`; returns the
-    previous setting.
+    :func:`restrict_to_subsets` and :func:`contract`, and the mask node
+    kernel of the tree engines (:class:`repro.duality.boros_makino.MaskNodes`);
+    returns the previous setting.
 
-    Both paths produce identical hypergraphs — this exists for the
+    Both paths produce identical results — this exists for the
     equivalence tests and the before/after benchmark harness only.
     """
     global _USE_BITSET
     previous = _USE_BITSET
     _USE_BITSET = enabled
     return previous
+
+
+def bitset_kernels_enabled() -> bool:
+    """The current :func:`use_bitset_kernels` setting."""
+    return _USE_BITSET
 
 
 def project(hg: Hypergraph, onto: Iterable) -> Hypergraph:
@@ -49,10 +55,11 @@ def project(hg: Hypergraph, onto: Iterable) -> Hypergraph:
     (``marksmall`` explicitly tests ``∅ ∈ G^{S_α}``), so *no*
     minimisation is applied here.
 
-    This is the per-node workhorse of the decomposition engines (every
-    tree node projects the original ``G`` onto its scope), so the fast
-    path intersects masks and sorts by the mask key instead of paying a
-    ``frozenset`` intersection plus ``sort_key`` per edge.
+    The decomposition engines derive each node's ``G^S`` on masks
+    (:class:`repro.duality.boros_makino.MaskNodes`); this operator is
+    their ``frozenset`` reference.  Its fast path intersects masks and
+    sorts by the mask key instead of paying a ``frozenset`` intersection
+    plus ``sort_key`` per edge.
     """
     scope = frozenset(onto)
     if not scope <= hg.vertices:
@@ -68,9 +75,8 @@ def project(hg: Hypergraph, onto: Iterable) -> Hypergraph:
     result = Hypergraph._from_canonical(
         tuple(index.decode(mask) for mask in projected), scope
     )
-    # Share the parent's index: decomposition nodes restrict the same
-    # original hypergraphs thousands of times, and rebuilding a
-    # VertexIndex per node would dominate the node's actual work.
+    # Share the parent's index: restricting the same hypergraph many
+    # times must not rebuild a VertexIndex per call.
     result._bits = BitsetFamily(index, tuple(projected), canonical=True)
     return result
 

@@ -8,8 +8,8 @@ plus one family real data cannot provide: *planted borders*, where the
 exact maximal-frequent family is chosen up front, giving the experiments
 a ground truth to compare against.
 
-All generators take explicit seeds; all are documented in DESIGN.md's
-substitution table.
+All generators take explicit seeds, so every relation they build is
+reproducible.
 """
 
 from __future__ import annotations

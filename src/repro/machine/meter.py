@@ -14,8 +14,9 @@ path-descriptor digits, the pipeline's per-stage index/output registers
 What is not counted: the read-only input (a logspace machine receives it
 on a read-only tape), the write-only output stream, and CPython's own
 object overhead (the model's control is hardware, not tape).  The
-convention is stated once here and referenced by DESIGN.md and
-EXPERIMENTS.md.
+convention is stated once here; the space experiments
+(``benchmarks/bench_e5_pipeline_space.py``,
+``benchmarks/bench_e6_logspace_space.py``) rely on it.
 """
 
 from __future__ import annotations

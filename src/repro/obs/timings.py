@@ -118,9 +118,8 @@ def _deep_features(g_payload, h_payload) -> dict:
         "bm_depth_est": 0.0,
     }
     try:
-        from repro.duality.boros_makino import expand
+        from repro.duality.boros_makino import MaskNodes
         from repro.duality.conditions import prepare_instance
-        from repro.duality.policies import PAPER_POLICY
         from repro.duality.tree import Mark, NodeAttributes
         from repro.hypergraph import from_mask_payload
 
@@ -134,13 +133,11 @@ def _deep_features(g_payload, h_payload) -> dict:
             g_v, h_v = h_v, g_v
         universe = frozenset(g_v.vertices | h_v.vertices)
         root = NodeAttributes((), universe, Mark.NIL, frozenset())
-        outcome = expand(root, g_v, h_v, PAPER_POLICY)
+        nodes = MaskNodes(g_v, h_v)
+        outcome = nodes.expand(root)
         if isinstance(outcome, NodeAttributes):
             return zeros  # single-node tree: a root that is a leaf
-        volumes = []
-        for child in outcome:
-            g_s, h_s = child.instance(g_v, h_v)
-            volumes.append(len(g_s) * len(h_s))
+        volumes = [nodes.volume(nodes.index.encode(c.scope)) for c in outcome]
         branches = len(outcome)
         max_volume = max(volumes)
         # Depth estimate: levels until the biggest child's volume is

@@ -37,7 +37,7 @@ from repro.duality.result import (
     dual_result,
     not_dual_result,
 )
-from repro.duality.tree import Mark, NodeAttributes, TreeNode
+from repro.duality.tree import Mark, NodeAttributes
 from repro.hypergraph import Hypergraph, from_mask_payload
 from repro.parallel.planner import (
     ShardPlan,
@@ -134,22 +134,12 @@ def run_bm_shard(args: tuple) -> tuple:
     (labels carry the full path from the original root).
     """
     header, label, scope_mask = args
-    from repro.duality.boros_makino import expand
+    from repro.duality.boros_makino import grow_subtree
 
     g, h = _rebuild_instance(header)
-    policy = header[3]
-    index = g.bits().index
-    scope = index.decode(scope_mask)
-    root = TreeNode(NodeAttributes(tuple(label), scope, Mark.NIL, frozenset()))
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        outcome = expand(node.attrs, g, h, policy)
-        if isinstance(outcome, NodeAttributes):
-            node.attrs = outcome
-            continue
-        node.children = [TreeNode(child) for child in outcome]
-        frontier.extend(node.children)
+    scope = g.bits().index.decode(scope_mask)
+    attrs = NodeAttributes(tuple(label), scope, Mark.NIL, frozenset())
+    root = grow_subtree(attrs, g, h, header[3])
 
     nodes = 0
     max_depth = 0

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 from repro.core import VertexIndex, antichain_minima, mask_sort_key
 from repro.complexity.bounds import chi
-from repro.duality.boros_makino import expand
+from repro.duality.boros_makino import MaskNodes, node_step
 from repro.duality.conditions import prepare_instance
 from repro.duality.fredman_khachiyan import (
     _base_case_m,
@@ -219,14 +219,6 @@ def plan_fk(
 RESHARD_MIN_VOLUME = 4
 
 
-def _restricted_volume(
-    attrs: NodeAttributes, g: Hypergraph, h: Hypergraph
-) -> int:
-    """The work estimate for a frontier node: ``|G^S| · |H_S|``."""
-    g_s, h_s = attrs.instance(g, h)
-    return len(g_s) * len(h_s)
-
-
 def _grow_frontier(
     children: list[NodeAttributes],
     target_shards: int | None,
@@ -242,9 +234,8 @@ def _grow_frontier(
     ``expand_node(attrs)`` performs one engine-specific expansion step,
     records the node (and any marked children) in the caller's plan
     bookkeeping, and returns the node's unexpanded interior children —
-    or ``None`` when the node turned out to be a leaf.  Cost
-    estimates (which materialise restricted sub-instances) are only
-    computed when expansion will actually be attempted: with
+    or ``None`` when the node turned out to be a leaf.  Cost estimates
+    are only computed when expansion will actually be attempted: with
     ``target_shards=None``, or a frontier already at target, the
     children are returned as-is.
 
@@ -260,7 +251,12 @@ def _grow_frontier(
     if target_shards is None or len(children) >= target_shards:
         return children
     if cost_fn is None:
-        estimate = _restricted_volume
+        # The work estimate for a frontier node: |G^S| · |H_S|.
+        nodes = MaskNodes(g, h)
+
+        def estimate(attrs, _g, _h):
+            return nodes.volume(nodes.index.encode(attrs.scope))
+
         gate = RESHARD_MIN_VOLUME
     else:
         estimate = cost_fn
@@ -334,7 +330,8 @@ def plan_bm(
     universe = frozenset(g_v.vertices | h_v.vertices)
     index = VertexIndex(universe)
     root_attrs = NodeAttributes((), universe, Mark.NIL, frozenset())
-    outcome = expand(root_attrs, g_v, h_v, policy)
+    step = node_step(g_v, h_v, policy)
+    outcome = step(root_attrs)
 
     if isinstance(outcome, NodeAttributes):
         # Single-node tree: resolve exactly as the serial decider would.
@@ -364,7 +361,7 @@ def plan_bm(
     planned_leaves: list[NodeAttributes] = []
 
     def expand_bm_node(attrs: NodeAttributes) -> list[NodeAttributes] | None:
-        child_outcome = expand(attrs, g_v, h_v, policy)
+        child_outcome = step(attrs)
         if isinstance(child_outcome, NodeAttributes):
             planned_leaves.append(child_outcome)
             return None

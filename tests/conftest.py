@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import strategies as st
 
 from repro.hypergraph import Hypergraph
+
+#: ``decide_duality`` methods that race or select other engines rather
+#: than decide themselves; "every engine" loops skip them (their own
+#: tests live in test_select.py, test_parallel.py and the conformance
+#: auto tier).
+META_METHODS = ("auto", "portfolio")
 
 
 # ---------------------------------------------------------------------------
@@ -64,3 +72,47 @@ def m2_pair():
     from repro.hypergraph.generators import matching_dual_pair
 
     return matching_dual_pair(2)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-path helpers
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def frozenset_reference():
+    """Run the block on the tree engines' ``frozenset`` reference path."""
+    from repro.hypergraph.operations import use_bitset_kernels
+
+    previous = use_bitset_kernels(False)
+    try:
+        yield
+    finally:
+        use_bitset_kernels(previous)
+
+
+@contextmanager
+def count_project_calls():
+    """Count the block's calls to ``operations.project``.
+
+    Only the ``frozenset`` reference of the tree engines projects, so
+    the count tells which node step a run took.  The logspace scope
+    memos are cleared first: a scope answered from an earlier run's
+    memo would otherwise project nothing.
+    """
+    from repro.duality import logspace
+    from repro.hypergraph import operations
+
+    logspace._finalize_scope.cache_clear()
+    logspace._children_scopes.cache_clear()
+    original = operations.project
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    operations.project = counted
+    try:
+        yield calls
+    finally:
+        operations.project = original

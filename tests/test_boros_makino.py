@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from repro.hypergraph.generators import (
 )
 from repro.hypergraph.transversal import is_new_transversal
 from repro.duality.boros_makino import (
+    MaskNodes,
     build_tree,
     decide_boros_makino,
     majority_vertices,
@@ -24,9 +26,12 @@ from repro.duality.boros_makino import (
     process_children,
     tree_for,
 )
+from repro.duality.conditions import prepare_instance
+from repro.duality.logspace import decompose, pathnode
+from repro.duality.policies import ALL_POLICIES, PAPER_POLICY, REVERSE_POLICY
 from repro.duality.tree import Mark, NodeAttributes
 
-from tests.conftest import nonempty_simple_hypergraphs
+from tests.conftest import frozenset_reference, nonempty_simple_hypergraphs
 
 
 def _root_attrs(g, h):
@@ -231,3 +236,89 @@ class TestDecider:
         for seed in range(5):
             g, h = random_dual_pair(6, 4, seed=seed)
             assert decide_boros_makino(g, h).is_dual
+
+
+def _equivalence_instances():
+    """Entry-checked pairs for the kernel/reference comparison, each in
+    both orientations: the golden corpus, matching 3–6, threshold 6-3 to
+    9-4, random dual pairs and a dropped-edge non-dual of each generated
+    pair."""
+    from pathlib import Path
+
+    from repro.parallel.batch import load_instance
+
+    corpus = Path(__file__).parent / "corpus"
+    golden = [(p.name, *load_instance(p)) for p in sorted(corpus.glob("*.hg"))]
+    generated = [(f"m{k}", *matching_dual_pair(k)) for k in range(3, 7)]
+    generated += [
+        (f"t{n}-{k}", *threshold_dual_pair(n, k))
+        for n, k in ((6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (9, 3), (9, 4))
+    ]
+    generated += [
+        (f"r{n}-{m}/{seed}", *random_dual_pair(n, m, seed=seed))
+        for n, m in ((5, 4), (7, 6), (8, 4), (8, 6))
+        for seed in range(1, 6)
+    ]
+    dropped = [
+        (f"{name}~", g, perturb_drop_edge(h, len(h) // 2))
+        for name, g, h in generated
+        if len(h) > 1
+    ]
+    instances = []
+    for name, g, h in golden + generated + dropped:
+        entry = prepare_instance(g, h)
+        if entry.ok:
+            instances.append((name, entry.g, entry.h))
+            instances.append((f"{name}^T", entry.h, entry.g))
+    return instances
+
+
+EQUIVALENCE_INSTANCES = _equivalence_instances()
+
+
+class TestMaskKernelEquivalence:
+    """The mask node kernel against the frozenset reference, node by node."""
+
+    @staticmethod
+    def _nodes(tree):
+        return [
+            (n.attrs.label, n.attrs.scope, n.attrs.mark, n.attrs.witness)
+            for n in tree.nodes()
+        ]
+
+    def test_instances_cover_both_verdicts(self):
+        verdicts = {
+            build_tree(g, h).all_done() for _name, g, h in EQUIVALENCE_INSTANCES
+        }
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+    def test_build_tree_identical(self, policy):
+        for name, g, h in EQUIVALENCE_INSTANCES:
+            fast = build_tree(g, h, policy)
+            with frozenset_reference():
+                reference = build_tree(g, h, policy)
+            assert self._nodes(fast) == self._nodes(reference), (name, policy.name)
+
+    def test_decompose_and_pathnode_identical(self):
+        for name, g, h in EQUIVALENCE_INSTANCES:
+            fast = decompose(g, h)
+            labels = [attrs.label for attrs in fast["vertices"]]
+            with frozenset_reference():
+                reference = decompose(g, h)
+                reference_nodes = [pathnode(g, h, label) for label in labels]
+            assert fast == reference, name
+            assert [pathnode(g, h, label) for label in labels] == fast["vertices"]
+            assert reference_nodes == fast["vertices"], name
+
+    def test_pickled_shard_header_keeps_paper_fast_path(self):
+        """Shard workers receive the policy pickled inside the plan
+        header; the equal copy must still take the paper policy's mask
+        choices, not the decoded-candidate path of other policies."""
+        from repro.parallel.planner import plan_bm
+
+        plan = plan_bm(*matching_dual_pair(4), target_shards=4)
+        policy = pickle.loads(pickle.dumps(plan.header))[3]
+        assert policy is not PAPER_POLICY and policy == PAPER_POLICY
+        assert MaskNodes(plan.g, plan.h, policy).policy is PAPER_POLICY
+        assert MaskNodes(plan.g, plan.h, REVERSE_POLICY).policy is REVERSE_POLICY

@@ -19,8 +19,8 @@ Contracts checked per instance:
 * all engines return the **same verdict**, and every NOT_DUAL verdict
   carries a witness that :func:`check_result_witness` validates;
 * for each engine with a ``use_bitset`` toggle (``fk-a``, ``fk-b``,
-  ``guess-check``, ``dfs-enum``, ``tractable``) and for the tree
-  engines' global kernel toggle (``bm``, ``logspace``), the mask and
+  ``dfs-enum``, ``tractable``) and for the tree engines' global kernel
+  toggle (``bm``, ``logspace``, ``guess-check``), the mask and
   ``frozenset`` paths return **bit-for-bit identical results** —
   verdict, certificate, and work counters;
 * the sharded paths (``fk-a``, ``fk-b``, ``bm``, ``logspace``) are
@@ -44,9 +44,10 @@ from repro.hypergraph.generators import (
     perturb_enlarge_edge,
     random_simple,
 )
-from repro.hypergraph.operations import use_bitset_kernels
 from repro.parallel import decide_duality_parallel
 from repro.service import EnginePool
+
+from tests.conftest import count_project_calls, frozenset_reference
 
 N_INSTANCES = int(os.environ.get("REPRO_CONFORMANCE_INSTANCES", "60"))
 SEED = int(os.environ.get("REPRO_CONFORMANCE_SEED", "20260726"))
@@ -67,10 +68,10 @@ ALL_ENGINES = (
 )
 
 #: Engines with a per-call ``use_bitset`` reference toggle.
-TOGGLED_ENGINES = ("fk-a", "fk-b", "guess-check", "dfs-enum", "tractable")
+TOGGLED_ENGINES = ("fk-a", "fk-b", "dfs-enum", "tractable")
 
 #: Engines whose mask kernels sit behind the global operations toggle.
-KERNEL_TOGGLED_ENGINES = ("bm", "logspace")
+KERNEL_TOGGLED_ENGINES = ("bm", "logspace", "guess-check")
 
 SHARDED_ENGINES = ("fk-a", "fk-b", "bm", "logspace")
 
@@ -176,16 +177,22 @@ def test_mask_and_frozenset_paths_identical():
 
 
 def test_kernel_toggle_paths_identical():
-    """The tree engines under the global restriction-kernel toggle."""
+    """The tree engines under the global kernel toggle.
+
+    The reference run must really take the ``frozenset`` procedures
+    (it projects) and the fast run the mask kernel (it never does), or
+    the comparison would hold vacuously.
+    """
     for name, g, h in CORPUS[:: max(1, N_INSTANCES // 100 or 1)]:
         for engine in KERNEL_TOGGLED_ENGINES:
-            fast = decide_duality(g, h, method=engine)
-            use_bitset_kernels(False)
-            try:
+            with count_project_calls() as fast_calls:
+                fast = decide_duality(g, h, method=engine)
+            with count_project_calls() as reference_calls, frozenset_reference():
                 reference = decide_duality(g, h, method=engine)
-            finally:
-                use_bitset_kernels(True)
             assert _identical(fast, reference), (name, engine)
+            assert fast_calls[0] == 0, (name, engine)
+            if fast.stats.nodes:
+                assert reference_calls[0] > 0, (name, engine)
 
 
 def test_sharded_in_process_identical_to_serial():

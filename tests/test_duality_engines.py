@@ -38,6 +38,27 @@ ALL_METHODS = available_methods()
 FAST_METHODS = [m for m in ALL_METHODS if m != "truth-table"]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _trained_auto_model():
+    """``auto`` solves through a trained selector here, not a cold-start
+    race of the whole portfolio; the cold-start path has its own tests
+    in ``test_select.py``."""
+    from repro.hypergraph import mask_payload
+    from repro.obs.timings import structural_features
+    from repro.select import fit_engine_model, reset_default_model, set_default_model
+
+    rows = []
+    for k in range(2, 8):
+        g, h = matching_dual_pair(k)
+        features = structural_features(mask_payload(g), mask_payload(h))
+        fast, slow = ("fk-b", "bm") if k < 5 else ("bm", "fk-b")
+        rows.append({"engine": fast, "elapsed_s": 0.001, **features})
+        rows.append({"engine": slow, "elapsed_s": 0.05, **features})
+    set_default_model(fit_engine_model(rows))
+    yield
+    reset_default_model()
+
+
 @pytest.mark.parametrize("method", ALL_METHODS)
 class TestAgainstGroundTruth:
     def test_dual_suite_accepted(self, method):

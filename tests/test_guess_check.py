@@ -22,6 +22,8 @@ from repro.duality.guess_and_check import (
 )
 from repro.duality.logspace import descriptor_bits, instance_size
 
+from tests.conftest import count_project_calls, frozenset_reference
+
 
 def _ordered(g, h):
     return (h, g) if len(h) > len(g) else (g, h)
@@ -98,11 +100,16 @@ class TestGuessSizeBound:
 
 
 class TestBitsetEquivalence:
-    """The mask-domain walker must replicate the frozenset walk exactly."""
+    """The mask node kernel must replicate the frozenset walk exactly."""
 
     def _assert_equivalent(self, g, h):
-        fast = decide_guess_and_check(g, h, use_bitset=True)
-        reference = decide_guess_and_check(g, h, use_bitset=False)
+        with count_project_calls() as fast_calls:
+            fast = decide_guess_and_check(g, h)
+        with count_project_calls() as reference_calls, frozenset_reference():
+            reference = decide_guess_and_check(g, h)
+        # Each run took its own node step: only the reference projects.
+        assert fast_calls[0] == 0
+        assert (reference_calls[0] > 0) == (fast.stats.nodes > 0)
         assert fast.verdict == reference.verdict
         assert fast.certificate == reference.certificate
         assert fast.stats.nodes == reference.stats.nodes
