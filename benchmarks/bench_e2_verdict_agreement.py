@@ -13,9 +13,16 @@ import pytest
 from repro.hypergraph.generators import matching_dual_pair
 from repro.duality import available_methods, check_result_witness, decide_duality
 
-from benchmarks.conftest import dual_workloads, nondual_workloads, print_table
+from benchmarks.conftest import (
+    META_METHODS,
+    dual_workloads,
+    nondual_workloads,
+    print_table,
+)
 
-ENGINES = [m for m in available_methods() if m != "truth-table"]
+ENGINES = [
+    m for m in available_methods() if m not in ("truth-table", *META_METHODS)
+]
 
 
 def test_verdict_agreement_table():

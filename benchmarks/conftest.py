@@ -25,6 +25,12 @@ from repro.hypergraph.generators import (
 )
 
 
+#: ``decide_duality`` methods that race or select other engines rather
+#: than decide themselves; per-engine sweeps skip them (an untrained
+#: ``auto`` would race the whole portfolio from a cold start).
+META_METHODS = ("auto", "portfolio")
+
+
 def ordered(g, h):
     """Apply the paper's ``|H| ≤ |G|`` input convention."""
     return (h, g) if len(h) > len(g) else (g, h)

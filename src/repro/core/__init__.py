@@ -19,6 +19,7 @@ from repro.core.bitset import (
     BitsetFamily,
     antichain_minima,
     berge_step,
+    column_counts,
     covers_none,
     is_minimal_transversal_mask,
     is_new_transversal_mask,
@@ -33,6 +34,7 @@ from repro.core.bitset import (
     popcount,
     sorted_masks,
     transversal_masks,
+    union_mask,
 )
 from repro.core.vertex_index import VertexIndex
 
@@ -41,6 +43,7 @@ __all__ = [
     "VertexIndex",
     "antichain_minima",
     "berge_step",
+    "column_counts",
     "covers_none",
     "is_minimal_transversal_mask",
     "is_new_transversal_mask",
@@ -55,4 +58,5 @@ __all__ = [
     "popcount",
     "sorted_masks",
     "transversal_masks",
+    "union_mask",
 ]

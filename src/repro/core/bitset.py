@@ -24,7 +24,9 @@ bit-position tuples is comparing sorted vertex-key tuples.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
+from functools import reduce
+from operator import or_
 
 from repro.core.vertex_index import VertexIndex
 
@@ -48,6 +50,25 @@ def iter_positions(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_mask(masks: Iterable[int]) -> int:
+    """The bitwise OR of a family: the vertices it mentions."""
+    return reduce(or_, masks, 0)
+
+
+def column_counts(masks: Collection[int], bits: int | None = None) -> dict[int, int]:
+    """How many masks hold each bit of ``bits`` (default: the family's
+    union), keyed by single-bit mask in ascending position.
+
+    One C-level scan per column: ``sum(bit & m)`` is ``count · bit``.
+    """
+    if bits is None:
+        bits = union_mask(masks)
+    return {
+        bit: sum(map(bit.__and__, masks)) >> (bit.bit_length() - 1)
+        for bit in iter_bits(bits)
+    }
 
 
 def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -81,7 +102,8 @@ def antichain_minima(masks: Iterable[int]) -> list[int]:
     unique = sorted(set(masks), key=int.bit_count)
     kept: list[int] = []
     for mask in unique:
-        if not any(other & mask == other for other in kept):
+        # ``other ⊆ mask`` ⇔ ``other & ~mask == 0``.
+        if all(map((~mask).__and__, kept)):
             kept.append(mask)
     return kept
 
@@ -106,12 +128,23 @@ def maximalize_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def masks_are_antichain(masks: Iterable[int]) -> bool:
-    """True iff no mask of the family is contained in another one."""
-    unique = sorted(set(masks), key=popcount)
-    for i, small in enumerate(unique):
-        for big in unique[i + 1:]:
-            if small & big == small and small != big:
-                return False
+    """True iff no mask of the family is contained in another one.
+
+    A proper submask has a strictly smaller popcount, so each mask is
+    only tested against the lower popcount levels — a uniform family
+    costs one pass.
+    """
+    levels: dict[int, list[int]] = {}
+    for mask in set(masks):
+        levels.setdefault(mask.bit_count(), []).append(mask)
+    smaller: list[int] = []
+    for size in sorted(levels):
+        level = levels[size]
+        if smaller:
+            for big in level:
+                if not all(map((~big).__and__, smaller)):
+                    return False
+        smaller += level
     return True
 
 
@@ -121,12 +154,12 @@ def meets_all(candidate: int, masks: Iterable[int]) -> bool:
     Matches the set-domain convention: an empty mask in the family makes
     the answer ``False``, an empty family makes it ``True``.
     """
-    return all(candidate & mask for mask in masks)
+    return all(map(candidate.__and__, masks))
 
 
 def covers_none(candidate: int, masks: Iterable[int]) -> bool:
     """True iff no mask of the family is contained in ``candidate``."""
-    return not any(mask & candidate == mask for mask in masks)
+    return all(map((~candidate).__and__, masks))
 
 
 def is_new_transversal_mask(
@@ -140,15 +173,14 @@ def is_new_transversal_mask(
 
 
 def is_minimal_transversal_mask(candidate: int, masks: Iterable[int]) -> bool:
-    """Private-vertex minimality: every bit of ``candidate`` has a witness
-    edge whose intersection with ``candidate`` is exactly that bit."""
-    edge_list = tuple(masks)
-    if not meets_all(candidate, edge_list):
-        return False
-    for bit in iter_bits(candidate):
-        if not any(candidate & edge == bit for edge in edge_list):
-            return False
-    return True
+    """Is ``candidate`` a minimal transversal of the family?
+
+    One pass collects the traces ``candidate & E``: the candidate is a
+    transversal iff no trace is empty, and minimal (private-vertex
+    criterion) iff every bit of it is some edge's whole trace.
+    """
+    hits = set(map(candidate.__and__, masks))
+    return 0 not in hits and hits.issuperset(iter_bits(candidate))
 
 
 def transversal_masks(edge_masks: Iterable[int]) -> tuple[int, ...]:

@@ -45,13 +45,16 @@ symmetric) and records the swap.
 from __future__ import annotations
 
 from functools import partial
+from itertools import filterfalse
 
 from repro._util import sort_key, vertex_key
 from repro.core import (
     VertexIndex,
+    column_counts,
     is_new_transversal_mask,
     iter_bits,
     mask_sort_key,
+    union_mask,
 )
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.operations import (
@@ -77,20 +80,12 @@ from repro.duality.tree import (
 
 
 def majority_mask(h_masks) -> int:
-    """``I_α`` as a mask: the bits set in more than half of ``h_masks``.
-
-    One pass counting per-bit occurrences — ``O(Σ|E|)``.
-    """
+    """``I_α`` as a mask: the bits set in more than half of ``h_masks``
+    (a collection), from per-bit column counts."""
     threshold = len(h_masks) / 2.0
-    counts: dict[int, int] = {}
-    for mask in h_masks:
-        for bit in iter_bits(mask):
-            counts[bit] = counts.get(bit, 0) + 1
-    majority = 0
-    for bit, count in counts.items():
-        if count > threshold:
-            majority |= bit
-    return majority
+    return union_mask(
+        bit for bit, count in column_counts(h_masks).items() if count > threshold
+    )
 
 
 def majority_vertices(h_restricted: Hypergraph) -> frozenset:
@@ -139,8 +134,8 @@ class MaskNodes:
         empty mask; ``H_S`` keeps ``H``'s canonical order.
         """
         return (
-            {m & scope for m in self.g_masks},
-            [m for m in self.h_masks if m & scope == m],
+            set(map(scope.__and__, self.g_masks)),
+            list(filterfalse((~scope).__and__, self.h_masks)),
         )
 
     def volume(self, scope: int) -> int:

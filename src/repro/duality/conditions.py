@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import is_minimal_transversal_mask
 from repro.errors import NotSimpleError
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.transversal import (
@@ -37,8 +38,16 @@ def first_non_minimal_transversal_edge(
 ) -> frozenset | None:
     """The canonically-first edge of ``g`` that is not a minimal transversal of ``h``.
 
-    Returns ``None`` when ``G ⊆ tr(H)`` holds.
+    Returns ``None`` when ``G ⊆ tr(H)`` holds.  When both sides' bitset
+    views share one index (as after :func:`prepare_instance` aligns the
+    universes) the scan runs on those cached masks.
     """
+    own, partner = g.bits(), h.bits()
+    if own.index.vertices == partner.index.vertices:
+        for edge, mask in zip(g.edges, own.masks):
+            if not is_minimal_transversal_mask(mask, partner.masks):
+                return edge
+        return None
     for edge in g.edges:
         if not is_minimal_transversal(edge, h):
             return edge

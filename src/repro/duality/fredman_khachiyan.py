@@ -28,15 +28,33 @@ The recursion splits on a variable ``x`` (``f = x·f₁ ∨ f₀``):
   ``g₁`` on its false side; B uses it when every variable's frequency is
   below ``1/χ(v)`` (``v`` the volume ``|F|·|G|``), which makes ``|g₁|``
   small — exactly the case split behind the ``n^{4χ(n)+O(1)}`` bound.
+
+Cross-intersection is checked once, at the root.  Every split preserves
+it: an ``f₀`` edge avoids ``x``, so it meets ``E' − x`` iff it meets
+``E'`` (the ``x = 0`` child ``(f₀, min(g₀ ∨ g₁))`` and, symmetrically,
+the ``x = 1`` child ``(min(f₀ ∨ f₁), g₀)``); a B-child's ``F``-edges avoid
+``u``, so they meet ``E' − u`` iff they meet ``E' ∈ g₀``.  The mask
+recursion (and the shard planner, whose leaves all descend from a
+checked root) therefore skips the test below depth 0; the frozenset
+reference :func:`_decide` keeps the per-node test and is the oracle the
+skip is tested against.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, filterfalse
 
 from repro._util import minimize_family, vertex_key
 from repro.complexity.bounds import chi
-from repro.core import VertexIndex, antichain_minima, iter_bits, mask_sort_key
+from repro.core import (
+    VertexIndex,
+    antichain_minima,
+    column_counts,
+    iter_bits,
+    mask_sort_key,
+    union_mask,
+)
 from repro.hypergraph import Hypergraph
 from repro.duality.result import (
     DecisionStats,
@@ -274,12 +292,15 @@ def _split_m(
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """Mask twin of :func:`_split`: ``(F₀, F₁, min(F₀ ∪ F₁))``.
 
-    The minimalised component is a frozenset (like the original), so the
-    order-free :func:`antichain_minima` suffices — no canonical sort.
+    ``edges`` is an antichain (every family of the recursion is), so
+    ``F₀`` and ``F₁`` are too and no ``F₀`` edge lies inside an ``F₁``
+    mask: ``min(F₀ ∪ F₁)`` is ``F₁`` plus the ``F₀`` edges that contain
+    no ``F₁`` mask — no sort needed.
     """
-    f0 = frozenset(e for e in edges if not e & xbit)
-    f1 = frozenset(e & ~xbit for e in edges if e & xbit)
-    return f0, f1, frozenset(antichain_minima(f0 | f1))
+    f0 = frozenset(filterfalse(xbit.__and__, edges))
+    f1 = frozenset(map((~xbit).__and__, filter(xbit.__and__, edges)))
+    # ``m ⊆ e`` ⇔ ``m & ~e == 0``.
+    return f0, f1, f1.union(e for e in f0 if all(map((~e).__and__, f1)))
 
 
 def _first_edge_m(edges: frozenset[int]) -> int:
@@ -298,9 +319,7 @@ def _low_weight_assignment_m(f: frozenset[int], g: frozenset[int]) -> int:
     """Mask twin of :func:`_low_weight_assignment` (same scan order)."""
     f_alive = {e: e.bit_count() for e in f}
     g_alive = {e: e.bit_count() for e in g}
-    union = 0
-    for e in chain(f, g):
-        union |= e
+    union = union_mask(chain(f, g))
     true_mask = 0
     for vbit in iter_bits(union):
         weight_true = sum(
@@ -330,24 +349,17 @@ def _most_frequent_variable_m(
 ) -> tuple[int, float]:
     """Mask twin of :func:`_most_frequent_variable`; returns ``(bit position,
     frequency)`` with ties broken by ascending position (the canonical
-    vertex order), exactly like the frozenset original.  One ``O(Σ|E|)``
-    counting pass, matching the reference's cost."""
-    counts_f: dict[int, int] = {}
-    counts_g: dict[int, int] = {}
-    for e in f:
-        for bit in iter_bits(e):
-            counts_f[bit] = counts_f.get(bit, 0) + 1
-    for e in g:
-        for bit in iter_bits(e):
-            counts_g[bit] = counts_g.get(bit, 0) + 1
+    vertex order), exactly like the frozenset original.  The counts are
+    per-bit column scans over the variables either side mentions."""
+    union = union_mask(f) | union_mask(g)
+    counts_f, counts_g = column_counts(f, union), column_counts(g, union)
     n_f, n_g = len(f), len(g)
     best_bit = 0
     best_freq = -1.0
-    # Single-bit masks sort ascending exactly by position.
-    for bit in sorted(set(counts_f) | set(counts_g)):
+    for bit, count_f in counts_f.items():  # ascending bit position
         freq = max(
-            counts_f.get(bit, 0) / n_f if n_f else 0.0,
-            counts_g.get(bit, 0) / n_g if n_g else 0.0,
+            count_f / n_f if n_f else 0.0,
+            counts_g[bit] / n_g if n_g else 0.0,
         )
         if freq > best_freq:
             best_bit, best_freq = bit, freq
@@ -355,12 +367,25 @@ def _most_frequent_variable_m(
 
 
 def _base_case_m(
-    f: frozenset[int], g: frozenset[int], stats: DecisionStats
+    f: frozenset[int],
+    g: frozenset[int],
+    stats: DecisionStats,
+    check_cross: bool,
 ) -> tuple[bool, _MaskAssignment | None] | None:
-    """Mask twin of :func:`_base_case` (``0`` is the empty edge)."""
-    universe = 0
-    for e in chain(f, g):
-        universe |= e
+    """Mask twin of :func:`_base_case` (``0`` is the empty edge).
+
+    ``check_cross=False`` skips the cross-intersection test.  That is
+    sound below a root that passed it, because every child of a
+    cross-intersecting node is cross-intersecting: the ``x = 0`` child
+    pairs ``f₀`` (edges avoiding ``x``) with masks ``E'`` or ``E' − x``
+    of ``G`` edges, and an edge avoiding ``x`` meets ``E' − x`` iff it
+    meets ``E'``; the ``x = 1`` child is the mirror image; a B-child
+    pairs ``F``-edges avoiding ``u`` with masks ``E' − u``, ``E' ∈ g₀``,
+    met iff ``E'`` is.  Minimalisation only drops edges.  So the test
+    could never fire there, and verdicts, certificates and stats are
+    unchanged.
+    """
+    universe = union_mask(chain(f, g))
 
     if not f:  # f ≡ false
         stats.base_cases += 1
@@ -384,13 +409,11 @@ def _base_case_m(
     # Cross-intersection, with the same canonical witness re-selection
     # as the frozenset path (set iteration order differs between the
     # two domains; the min() makes the certificate identical).
-    if any(not e & e2 for e in f for e2 in g):
-        stats.base_cases += 1
-        offending = min(
-            (e2 for e2 in g if any(not e & e2 for e in f)),
-            key=mask_sort_key,
-        )
-        return False, ("11", universe & ~offending)
+    if check_cross:
+        misses = [e2 for e2 in g if not all(map(e2.__and__, f))]
+        if misses:
+            stats.base_cases += 1
+            return False, ("11", universe & ~min(misses, key=mask_sort_key))
 
     if len(f) == 1:
         stats.base_cases += 1
@@ -401,7 +424,7 @@ def _base_case_m(
         missing_bit = next(b for b in iter_bits(term) if b not in g)
         return False, ("00", universe & ~missing_bit)
     if len(g) == 1:
-        resolved = _base_case_m(g, f, stats)
+        resolved = _base_case_m(g, f, stats, check_cross=False)
         if resolved is None:
             return None
         is_dual, failing = resolved
@@ -424,40 +447,62 @@ def _decide_m(
     depth: int,
     use_b: bool,
 ) -> _MaskAssignment | None:
-    """Mask twin of :func:`_decide` — the same recursion, ints throughout."""
+    """Mask twin of :func:`_decide` — the same recursion, ints throughout.
+
+    Only the root (``depth == 0``) tests cross-intersection; see
+    :func:`_base_case_m`.
+    """
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
 
-    resolved = _base_case_m(f, g, stats)
+    resolved = _base_case_m(f, g, stats, check_cross=depth == 0)
     if resolved is not None:
         _is_dual, failing = resolved
         return failing
 
+    for f_child, g_child, delta in fk_branches(f, g, use_b):
+        failing = _decide_m(f_child, g_child, stats, depth + 1, use_b)
+        if failing is not None:
+            kind, true_mask = failing
+            return kind, true_mask | delta
+    return None
+
+
+def fk_branches(
+    f: frozenset[int], g: frozenset[int], use_b: bool
+) -> Iterator[tuple[frozenset[int], frozenset[int], int]]:
+    """The subcalls of an FK node that no base case resolves, lazily, in
+    the serial visiting order: ``(f′, g′, delta_bit)`` where
+    ``delta_bit`` is the variable the child sets true (``0`` for the
+    ``x = 0`` branch).
+
+    The ``x = 0`` branch comes first; then, for B with every frequency
+    below ``1/χ(|F|·|G|)``, one subproblem per ``u ∈ g₁`` in canonical
+    order, otherwise A's ``x = 1`` branch.  The recursion stops drawing
+    at the first failing child, so unvisited B-children are never built;
+    the shard planner takes them all.
+    """
     position, freq = _most_frequent_variable_m(f, g)
     xbit = 1 << position
     f0, _f1, f_at_1 = _split_m(f, xbit)
     g0, g1, g_at_1 = _split_m(g, xbit)
 
-    failing = _decide_m(f0, g_at_1, stats, depth + 1, use_b)
-    if failing is not None:
-        return failing
+    # x = 0 branch: f|x=0 = f0 against g|x=1 = min(g0 ∪ g1).
+    yield f0, g_at_1, 0
 
     volume = max(len(f) * len(g), 2)
     if use_b and freq < 1.0 / chi(volume) and g1:
+        # B-branch: one subproblem per u ∈ g1 instead of the full
+        # (f|x=1, g0) call.  Valid given the x=0 branch succeeded.
         for u in sorted(g1, key=mask_sort_key):
-            f_prime = frozenset(e for e in f_at_1 if not e & u)
-            g0_u = frozenset(antichain_minima(e2 & ~u for e2 in g0))
-            failing = _decide_m(f_prime, g0_u, stats, depth + 1, use_b)
-            if failing is not None:
-                kind, true_mask = failing
-                return kind, true_mask | xbit
-        return None
-
-    failing = _decide_m(f_at_1, g0, stats, depth + 1, use_b)
-    if failing is not None:
-        kind, true_mask = failing
-        return kind, true_mask | xbit
-    return None
+            yield (
+                frozenset(filterfalse(u.__and__, f_at_1)),
+                frozenset(antichain_minima(map((~u).__and__, g0))),
+                xbit,
+            )
+    else:
+        # x = 1 branch (algorithm A, and B's frequent-variable case).
+        yield f_at_1, g0, xbit
 
 
 def _assignment_to_result(

@@ -231,8 +231,18 @@ class Hypergraph:
         return out
 
     def with_vertices(self, vertices: Iterable) -> "Hypergraph":
-        """Same edges over an explicitly supplied (super-)universe."""
-        return Hypergraph(self._edges, vertices=vertices)
+        """Same edges over an explicitly supplied (super-)universe.
+
+        A superset of the current universe keeps the canonical edge
+        tuple as is (and, when equal, the cached bitset view).
+        """
+        universe = frozenset(vertices)
+        if not self._vertices <= universe:
+            return Hypergraph(self._edges, vertices=universe)
+        out = Hypergraph._from_canonical(self._edges, universe)
+        if universe == self._vertices:
+            out._bits = self._bits
+        return out
 
     def without_isolated_vertices(self) -> "Hypergraph":
         """Shrink the universe to the union of the edges."""

@@ -57,14 +57,11 @@ def is_minimal_transversal(candidate: Iterable, hg: Hypergraph) -> bool:
     cand = frozenset(candidate)
     family = hg.bits()
     index = family.index
-    mask = index.encode_within(cand)
-    if not meets_all(mask, family.masks):
-        return False
     if any(v not in index for v in cand):
         # A vertex outside V(hg) occurs in no edge, so it can have no
-        # witness edge — the transversal is not minimal.
+        # witness edge — the set is not a minimal transversal.
         return False
-    return is_minimal_transversal_mask(mask, family.masks)
+    return is_minimal_transversal_mask(index.encode(cand), family.masks)
 
 
 def is_new_transversal(

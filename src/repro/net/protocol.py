@@ -88,6 +88,7 @@ instances round-trip the wire with their exact vertex types.
 from __future__ import annotations
 
 import json
+import math
 import socket
 
 from repro.hypergraph import Hypergraph
@@ -160,10 +161,24 @@ def send_json(sock: socket.socket, obj: dict) -> None:
     sock.sendall(json.dumps(obj).encode("utf-8") + b"\n")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} is not JSON")
+    return value
+
+
+#: Strict JSON: ``NaN``/``Infinity`` and numbers that overflow a double
+#: are refused, so nothing non-finite is ever echoed back.
+_REQUEST_DECODER = json.JSONDecoder(
+    parse_constant=_finite_float, parse_float=_finite_float
+)
+
+
 def parse_request(line: bytes) -> dict:
     """Decode one request line into its dict; raises :class:`ProtocolError`."""
     try:
-        request = json.loads(line.decode("utf-8"))
+        request = _REQUEST_DECODER.decode(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"request line is not valid JSON: {exc}") from exc
     if not isinstance(request, dict):

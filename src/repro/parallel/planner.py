@@ -52,15 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import VertexIndex, antichain_minima, mask_sort_key
-from repro.complexity.bounds import chi
+from repro.core import VertexIndex
 from repro.duality.boros_makino import MaskNodes, node_step
 from repro.duality.conditions import prepare_instance
-from repro.duality.fredman_khachiyan import (
-    _base_case_m,
-    _most_frequent_variable_m,
-    _split_m,
-)
+from repro.duality.fredman_khachiyan import _base_case_m, fk_branches
 from repro.duality.logspace import initial_attrs, next_attrs
 from repro.duality.policies import PAPER_POLICY, TieBreakPolicy
 from repro.duality.result import DecisionStats, DualityResult
@@ -118,32 +113,12 @@ class ShardPlan:
 _FkLeaf = tuple[frozenset, frozenset, int, int]
 
 
-def _fk_children(leaf: _FkLeaf, use_b: bool) -> list[_FkLeaf]:
-    """The branch children of an expandable FK leaf, in serial visiting
-    order — exactly the subcalls ``_decide_m`` would issue."""
-    f, g, delta, depth = leaf
-    position, freq = _most_frequent_variable_m(f, g)
-    xbit = 1 << position
-    f0, _f1, f_at_1 = _split_m(f, xbit)
-    g0, g1, g_at_1 = _split_m(g, xbit)
-
-    children: list[_FkLeaf] = [(f0, g_at_1, delta, depth + 1)]
-    volume = max(len(f) * len(g), 2)
-    if use_b and freq < 1.0 / chi(volume) and g1:
-        for u in sorted(g1, key=mask_sort_key):
-            f_prime = frozenset(e for e in f_at_1 if not e & u)
-            g0_u = frozenset(antichain_minima(e2 & ~u for e2 in g0))
-            children.append((f_prime, g0_u, delta | xbit, depth + 1))
-    else:
-        children.append((f_at_1, g0, delta | xbit, depth + 1))
-    return children
-
-
 def _fk_expandable(leaf: _FkLeaf) -> bool:
     """True iff the serial recursion would split this subproblem (its
-    base case does not resolve it)."""
-    f, g, _delta, _depth = leaf
-    return _base_case_m(f, g, DecisionStats()) is None
+    base case does not resolve it; like ``_decide_m``, only the root
+    tests cross-intersection)."""
+    f, g, _delta, depth = leaf
+    return _base_case_m(f, g, DecisionStats(), check_cross=depth == 0) is None
 
 
 def plan_fk(
@@ -182,10 +157,14 @@ def plan_fk(
         if not candidates:
             break
         _volume, pos = max(candidates, key=lambda c: (c[0], -c[1]))
-        leaf, _ = entries[pos]
-        children = _fk_children(leaf, use_b)
+        (f, gm, delta, depth), _ = entries[pos]
         plan_stats.nodes += 1
-        plan_stats.max_depth = max(plan_stats.max_depth, leaf[3])
+        plan_stats.max_depth = max(plan_stats.max_depth, depth)
+        # The subcalls _decide_m would issue, in its visiting order.
+        children = [
+            (f_child, g_child, delta | bit, depth + 1)
+            for f_child, g_child, bit in fk_branches(f, gm, use_b)
+        ]
         entries[pos : pos + 1] = [
             (child, _fk_expandable(child)) for child in children
         ]

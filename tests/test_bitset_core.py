@@ -19,19 +19,31 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._util import is_antichain, maximize_family, minimize_family
 from repro.core import (
     BitsetFamily,
     VertexIndex,
+    antichain_minima,
+    column_counts,
+    covers_none,
+    is_minimal_transversal_mask,
+    iter_bits,
     mask_sort_key,
     masks_are_antichain,
     maximalize_masks,
+    meets_all,
     minimalize_masks,
 )
+from repro.duality.boros_makino import majority_mask
+from repro.duality.fredman_khachiyan import _base_case_m, _split_m, fk_branches
+from repro.duality.result import DecisionStats
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.generators import (
     hard_nondual_pair,
+    matching_dual_pair,
     perturb_drop_edge,
     perturb_enlarge_edge,
     random_dual_pair,
@@ -195,16 +207,40 @@ class TestEngineEquivalence:
         for seed in (11, 12, 13):
             yield f"random-{seed}", *random_dual_pair(7, 5, seed=seed)
 
+    def _cross_failing_instances(self):
+        """Simple pairs whose root fails cross-intersection."""
+        g, h = matching_dual_pair(3)
+        yield "matching+foreign", g, Hypergraph([*h.edges, {"z"}])
+        yield "matching+singleton", g, Hypergraph([*h.edges, {0}]).minimized()
+        for seed in range(6):
+            yield (
+                f"independent-{seed}",
+                random_simple(6, 4, seed=seed),
+                random_simple(6, 3, seed=seed + 100),
+            )
+
     @pytest.mark.parametrize("use_b", (False, True))
     def test_fredman_khachiyan_paths_agree(self, use_b):
+        """Verdict, certificate and stats: the mask path tests
+        cross-intersection at the root only, the reference at every node."""
         from repro.duality.fredman_khachiyan import decide_fk_a, decide_fk_b
 
         decide = decide_fk_b if use_b else decide_fk_a
-        for name, g, h in self._instances():
+        crossing = list(self._cross_failing_instances())
+        for name, g, h in (*self._instances(), *crossing):
             fast = decide(g, h, use_bitset=True)
             slow = decide(g, h, use_bitset=False)
             assert fast.verdict == slow.verdict, name
             assert fast.certificate == slow.certificate, name
+            for counter in ("nodes", "max_depth", "base_cases"):
+                assert getattr(fast.stats, counter) == getattr(
+                    slow.stats, counter
+                ), (name, counter)
+        for name, g, h in crossing:
+            result = decide(g, h)
+            assert not result.is_dual, name
+            if any(not e & e2 for e in g.edges for e2 in h.edges):
+                assert result.stats.nodes == 1, name
 
     @pytest.mark.parametrize("method", ("bm", "logspace"))
     def test_decomposition_engines_unchanged_by_kernel_toggle(self, method):
@@ -267,3 +303,125 @@ class TestFrequencyEquivalence:
     def test_empty_itemset_counts_all_rows(self):
         relation = market_basket(n_items=6, n_rows=25, seed=4)
         assert frequency(relation, ()) == len(relation)
+
+
+# ---------------------------------------------------------------------------
+# Rewritten kernels against their brute-force definitions
+# ---------------------------------------------------------------------------
+
+#: Small mask families over 6 bits (the empty mask and empty family included).
+MASKS = st.lists(st.integers(min_value=0, max_value=63), max_size=7)
+MASK = st.integers(min_value=0, max_value=63)
+
+
+def _union(masks) -> int:
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
+
+
+def _is_transversal(candidate: int, masks) -> bool:
+    return all(candidate & mask != 0 for mask in masks)
+
+
+class TestKernelDefinitions:
+    @settings(max_examples=200, deadline=None)
+    @given(MASKS)
+    def test_masks_are_antichain(self, masks):
+        containment = any(
+            a != b and a & b == a for a in masks for b in masks
+        )
+        assert masks_are_antichain(masks) == (not containment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MASK, MASKS)
+    @example(0, [])
+    @example(0, [3])
+    @example(5, [])
+    @example(1, [0, 1])
+    def test_is_minimal_transversal_mask(self, candidate, masks):
+        minimal = _is_transversal(candidate, masks) and not any(
+            _is_transversal(candidate & ~bit, masks)
+            for bit in iter_bits(candidate)
+        )
+        assert is_minimal_transversal_mask(candidate, masks) == minimal
+
+    @settings(max_examples=200, deadline=None)
+    @given(MASK, MASKS)
+    def test_meets_all_and_covers_none(self, candidate, masks):
+        assert meets_all(candidate, masks) == _is_transversal(candidate, masks)
+        assert covers_none(candidate, masks) == (
+            not any(mask & candidate == mask for mask in masks)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(MASKS)
+    def test_column_counts_and_majority(self, masks):
+        counts = {
+            1 << pos: sum(1 for mask in masks if mask >> pos & 1)
+            for pos in range(6)
+        }
+        union = _union(masks)
+        assert column_counts(masks) == {
+            bit: count for bit, count in counts.items() if bit & union
+        }
+        assert list(column_counts(masks)) == sorted(column_counts(masks))
+        assert column_counts(masks, 63) == counts
+        assert majority_mask(masks) == _union(
+            bit for bit, count in counts.items() if count > len(masks) / 2
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(MASKS, st.integers(min_value=0, max_value=5))
+    def test_split_minimises_like_antichain_minima(self, masks, position):
+        edges = frozenset(antichain_minima(masks))
+        xbit = 1 << position
+        f0, f1, f_at_1 = _split_m(edges, xbit)
+        assert f0 == {e for e in edges if not e & xbit}
+        assert f1 == {e & ~xbit for e in edges if e & xbit}
+        assert f_at_1 == frozenset(antichain_minima(f0 | f1))
+
+
+@st.composite
+def _cross_intersecting_mask_pairs(draw):
+    """A simple family ``f`` of non-empty masks and a simple family ``g``
+    of transversals of ``f``: a simple, cross-intersecting pair."""
+    nonempty = st.integers(min_value=1, max_value=63)
+    f = frozenset(
+        antichain_minima(draw(st.lists(nonempty, min_size=1, max_size=6)))
+    )
+    g_masks = []
+    for seed in draw(st.lists(st.integers(0, 63), min_size=1, max_size=6)):
+        for edge in sorted(f):
+            if not seed & edge:
+                seed |= edge & -edge  # add the edge's lowest bit
+        g_masks.append(seed)
+    return f, frozenset(antichain_minima(g_masks))
+
+
+def _cross_intersecting(f, g) -> bool:
+    return all(e & e2 for e in f for e2 in g)
+
+
+class TestFkBranchInvariant:
+    """Every split of the FK recursion keeps a simple, cross-intersecting
+    pair simple and cross-intersecting — why the mask recursion tests
+    cross-intersection at the root only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cross_intersecting_mask_pairs(), st.booleans())
+    def test_children_stay_simple_and_cross_intersecting(self, pair, use_b):
+        pending = [pair]
+        visited = 0
+        while pending and visited < 200:
+            f, g = pending.pop()
+            visited += 1
+            assert masks_are_antichain(f) and masks_are_antichain(g)
+            assert _cross_intersecting(f, g)
+            stats = DecisionStats()
+            if _base_case_m(f, g, stats, check_cross=False) is not None:
+                continue
+            assert stats.base_cases == 0
+            for f_child, g_child, _delta in fk_branches(f, g, use_b):
+                pending.append((f_child, g_child))

@@ -129,6 +129,23 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="unknown op"):
             parse_request(b'{"op": "explode"}')
 
+    @pytest.mark.parametrize(
+        "line",
+        (
+            b'{"id": 1e400, "op": "ping"}',
+            b'{"id": -1e400, "op": "ping"}',
+            b'{"id": NaN, "op": "ping"}',
+            b'{"id": Infinity, "op": "ping"}',
+            b'{"id": 1, "op": "ping", "x": [-Infinity]}',
+        ),
+    )
+    def test_parse_request_rejects_non_finite_numbers(self, line):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            parse_request(line)
+
+    def test_parse_request_keeps_finite_floats(self):
+        assert parse_request(b'{"id": 2.5e3, "op": "ping"}')["id"] == 2500.0
+
     def test_decode_hypergraph_rejects_malformed_payloads(self):
         with pytest.raises(ProtocolError, match="must be an object"):
             decode_hypergraph([1, 2])
@@ -338,6 +355,22 @@ class TestServerFaultIsolation:
                 # recovers, and other clients never noticed.
                 assert victim.ping()
                 assert bystander.solve(g, h)["dual"] is True
+
+    def test_non_finite_number_answers_strict_json_error(self):
+        def strict(token):
+            raise AssertionError(f"non-finite {token} on the wire")
+
+        with DualityServer() as server:
+            with DualityClient(*server.address) as client:
+                for line in (b'{"id": 1e400, "op": "ping"}\n', b'{"id": NaN}\n'):
+                    client._sock.sendall(line)
+                    error = json.loads(
+                        client._reader.readline(), parse_constant=strict
+                    )
+                    assert error["ok"] is False
+                    assert error["id"] is None
+                    assert error["error"]["type"] == "ProtocolError"
+                assert client.ping()
 
     def test_oversized_line_is_refused_and_the_connection_closed(self):
         with DualityServer(max_line_bytes=256) as server:
