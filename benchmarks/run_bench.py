@@ -627,14 +627,24 @@ def store_rows(quick: bool) -> list[dict]:
     """
     import tempfile
 
-    from repro.parallel import ResultCache
-    from repro.parallel.batch import result_from_json, result_to_json
-    from repro.store import VerdictStore
+    from repro.store import VerdictStore, result_to_json
 
     del quick  # sizes are fixed; see the docstring
     g, h = matching_dual_pair(3)
-    entry = result_to_json(decide_duality(g, h, method="fk-b"))
-    result = result_from_json(dict(entry))
+    result = decide_duality(g, h, method="fk-b")
+    entry = result_to_json(result)
+
+    def rewrite_whole_file(results: dict, path: Path) -> None:
+        # The legacy autosave: encode and serialise every entry, fsync a
+        # temp sibling, atomically replace the file.
+        entries = {key: result_to_json(r) for key, r in results.items()}
+        data = json.dumps(entries, indent=1) + "\n"
+        tmp_path = path.with_name(path.name + ".tmp")
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
 
     sizes = (128, 1024)
     scaling: dict[str, dict] = {}
@@ -643,11 +653,11 @@ def store_rows(quick: bool) -> list[dict]:
         for n_entries in sizes:
             # Legacy: a cache holding n entries pays a full-file rewrite
             # to persist each new verdict.
-            cache = ResultCache()
-            for n in range(n_entries):
-                cache.put(f"key-{n:06d}", result)
+            results = {f"key-{n:06d}": result for n in range(n_entries)}
             cache_path = Path(tmp) / f"cache-{n_entries}.json"
-            rewrite_s = best_of(lambda: cache.save(cache_path), 3)
+            rewrite_s = best_of(
+                lambda: rewrite_whole_file(results, cache_path), 3
+            )
 
             # Store: the same store size, per-verdict journal flush.
             store = VerdictStore(Path(tmp) / f"store-{n_entries}.db")

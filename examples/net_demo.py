@@ -4,15 +4,16 @@ The network subsystem in one walkthrough:
 
 1. a :class:`DualityServer` (the asyncio event-loop server — every
    connection is a coroutine, not a thread) on a loopback port, one
-   warm :class:`EnginePool` and one crash-safe result cache shared by
-   every connection,
+   warm :class:`EnginePool` and one result cache over a durable verdict
+   store, shared by every connection,
 2. several concurrent :class:`DualityClient` sessions shipping
    instances inline through the lossless codec (no shared filesystem
    needed), verdicts bit-for-bit identical to serial ``decide_duality``,
 3. per-request engine overrides and a pipelined ``solve_many`` batch,
 4. the cache answering repeats across *different* clients, and
-5. a graceful ``shutdown`` request: in-flight work drains, the cache is
-   flushed atomically, the pool closes.
+5. a graceful ``shutdown`` request: in-flight work drains, the store
+   closes, the pool closes — and a second server over the same store
+   answers everything from it.
 
 Run me::
 
@@ -42,10 +43,10 @@ INSTANCES = [
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        cache_path = Path(tmp) / "net-cache.json"
+        store_path = Path(tmp) / "verdicts.db"
 
-        print("== one server, one warm pool, one crash-safe cache ==")
-        with DualityServer(method="fk-b", cache=cache_path) as server:
+        print("== one server, one warm pool, one durable verdict store ==")
+        with DualityServer(method="fk-b", store=store_path) as server:
             host, port = server.address
             print(f"serving on {host}:{port}")
 
@@ -85,10 +86,10 @@ def main() -> None:
                 )
                 client.shutdown_server()
             server.wait()
-        print(f"shut down gracefully; cache on disk: {cache_path.exists()}")
+        print(f"shut down gracefully; store on disk: {store_path.exists()}")
 
-        print("\n== a second server generation over the same cache ==")
-        with DualityServer(method="fk-b", cache=cache_path) as server:
+        print("\n== a second server generation over the same store ==")
+        with DualityServer(method="fk-b", store=store_path) as server:
             with DualityClient(*server.address) as client:
                 for name, g, h in INSTANCES:
                     response = client.solve(g, h)

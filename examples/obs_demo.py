@@ -76,7 +76,9 @@ instances = [
     matching_dual_pair(3),
     hard_nondual_pair(3),
 ]
-with DualityServer(method="fk-b", n_jobs=2, cache=ResultCache()) as server:
+with DualityServer(
+    method="fk-b", n_jobs=2, store=workdir / "verdicts.db"
+) as server:
     with DualityClient(*server.address, trace=True) as client:
         responses = client.solve_many(instances)
         repeat = client.solve(*matching_dual_pair(3))  # a cache hit

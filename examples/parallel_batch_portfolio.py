@@ -5,7 +5,9 @@ PR 2's subsystem in one walkthrough:
 1. solve one instance with worker-pool sharding (``n_jobs``),
 2. race an engine portfolio and inspect the per-engine timings,
 3. stream a batch of ``.hg`` instance files through ``solve_many`` with
-   a canonical-hash result cache, twice — the second pass is all hits.
+   a canonical-hash result cache, twice — the second pass is all hits —
+   and persist it through a durable verdict store that a fresh cache
+   (a later CLI run, another process) replays.
 
 Run me::
 
@@ -25,6 +27,7 @@ from repro.hypergraph.generators import (
     threshold_dual_pair,
 )
 from repro.parallel import ResultCache, race_portfolio, solve_many
+from repro.store import VerdictStore
 
 # ---------------------------------------------------------------------------
 # 1. Sharded solving: same verdict, same certificate, more cores
@@ -69,7 +72,8 @@ with tempfile.TemporaryDirectory() as tmp:
         hgio.dump_many(pair, base / f"{name}.hg")
     instance_files = sorted(base.glob("*.hg"))
 
-    cache = ResultCache()
+    store = VerdictStore(base / "verdicts.db")
+    cache = ResultCache(backend=store)  # write-through to the store
     for sweep in (1, 2):
         items = solve_many(instance_files, method="fk-b", n_jobs=1, cache=cache)
         print(f"sweep {sweep}:")
@@ -79,8 +83,12 @@ with tempfile.TemporaryDirectory() as tmp:
             print(f"  {Path(item.source).name:<18} {verdict:<8} [{note}]")
     print(f"cache: {cache.hits} hits / {cache.misses} misses")
 
-    # The cache persists: a JSON file keyed by canonical instance hashes.
-    cache_file = base / "results.json"
-    saved = cache.save(cache_file)
-    reloaded = ResultCache.load(cache_file)
-    print(f"persisted {saved} entries, reloaded {len(reloaded)}")
+    store.close()
+
+    # The store persists: a SQLite file keyed by canonical instance hashes.
+    store = VerdictStore(base / "verdicts.db")
+    fresh = ResultCache(backend=store)
+    solve_many(instance_files, method="fk-b", n_jobs=1, cache=fresh)
+    print(f"store holds {len(store)} verdicts; a fresh cache replayed "
+          f"{fresh.hits} of them")
+    store.close()

@@ -5,8 +5,9 @@ PRs 3 and 5 in one walkthrough:
 1. an :class:`EnginePool` with an explicit lifecycle — workers spawn
    once and answer several batches (``generations`` stays at 1),
 2. an :class:`EngineService` session: submit/drain over the warm pool
-   with a result cache in front, and JSON verdict lines,
-3. a second service session over the same cache file — every answer is
+   with a result cache over a durable verdict store in front, and JSON
+   verdict lines,
+3. a second service session over the same store file — every answer is
    a cache hit, no worker ever runs,
 4. sharded single-instance solving and recursive shard plans routed
    through the same persistent pool,
@@ -56,12 +57,12 @@ with EnginePool(n_jobs=2) as pool:
     )
 
 # ---------------------------------------------------------------------------
-# 2 + 3. A service session, then a warm-cache replay session
+# 2 + 3. A service session, then a replay session over the same store
 # ---------------------------------------------------------------------------
 
-print("\n— EngineService with a persistent cache —")
+print("\n— EngineService over a durable verdict store —")
 with tempfile.TemporaryDirectory() as tmp:
-    cache_path = Path(tmp) / "verdicts.json"
+    store_path = Path(tmp) / "verdicts.db"
     instance_dir = Path(tmp)
     for name, pair in {
         "m3": matching_dual_pair(3),
@@ -70,7 +71,7 @@ with tempfile.TemporaryDirectory() as tmp:
     }.items():
         hgio.dump_many(pair, instance_dir / f"{name}.hg")
 
-    with EngineService(method="bm", n_jobs=1, cache=cache_path) as service:
+    with EngineService(method="bm", n_jobs=1, store=store_path) as service:
         for path in sorted(instance_dir.glob("*.hg")):
             service.submit(path)
         for response in service.drain():
@@ -78,7 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
             print(json.dumps({k: line[k] for k in ("source", "verdict", "cached")}))
         print(f"session 1 stats: {service.stats()['cache_misses']} misses")
 
-    with EngineService(method="bm", n_jobs=1, cache=cache_path) as replay:
+    with EngineService(method="bm", n_jobs=1, store=store_path) as replay:
         for path in sorted(instance_dir.glob("*.hg")):
             replay.submit(path)
         responses = replay.drain()

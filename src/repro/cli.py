@@ -364,8 +364,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
     from repro.hypergraph import instance_key, pair_digest
     from repro.net import DualityClient, ProtocolError, RequestError
-    from repro.parallel.batch import load_instance, result_from_json
-    from repro.store import VerdictStore
+    from repro.parallel.batch import load_instance
+    from repro.store import VerdictStore, result_from_json
 
     store = VerdictStore(args.store) if args.store else None
     paths = [str(p) for p in args.instances if str(p) != "-"]
@@ -1433,7 +1433,7 @@ def build_parser() -> argparse.ArgumentParser:
             "share.  'stats' prints a JSON health snapshot (entries, "
             "timings, journal size, hit counters); 'compact' folds the "
             "append journal into the SQLite tables and truncates it; "
-            "'import LEGACY.json' loads a ResultCache-format JSON "
+            "'import LEGACY.json' loads a legacy whole-file JSON "
             "cache into the store (opening a store whose path holds a "
             "legacy cache.json already imports it automatically)."
         ),

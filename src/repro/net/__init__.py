@@ -4,8 +4,9 @@
 process; this package puts them on a socket.  An
 :class:`AsyncDualityServer` multiplexes any number of connections —
 thousands of them, on one event loop — onto **one** warm
-:class:`~repro.service.EnginePool` and **one** thread-safe, crash-safe
-:class:`~repro.parallel.batch.ResultCache`, with no solve lock: every
+:class:`~repro.service.EnginePool` and (with a ``store``) **one**
+thread-safe :class:`~repro.parallel.batch.ResultCache` writing through
+to a durable :class:`~repro.store.VerdictStore`, with no solve lock: every
 request is dispatched straight to the service scheduler and its
 response is written the moment the verdict exists, out of request
 order when a fast instance overtakes a slow one.  Backpressure is per

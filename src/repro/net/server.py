@@ -20,8 +20,8 @@ Threading model (three kinds of thread, each with one job):
   request decoding, cache lookup, and (at ``n_jobs=1``) the inline
   solve itself — off the loop;
 * the **pool's completion threads** resolve tickets.  Each ticket's
-  done-callback builds the response payload and autosaves the cache in
-  that thread, then bounces the finished payload into the loop via
+  done-callback builds the response payload in that thread, then
+  bounces the finished payload into the loop via
   ``call_soon_threadsafe`` (the bridge
   :meth:`~repro.service.ServiceTicket.add_loop_callback` documents).
 
@@ -48,9 +48,11 @@ scheduler.
 Lifecycle is unchanged from the threaded generations: :meth:`start`
 binds and spawns the loop thread, :meth:`shutdown` (or a client
 ``shutdown`` request, or ``KeyboardInterrupt`` in the CLI) waits for
-in-flight tickets to deliver, flushes the cache atomically, then closes
-the pool.  Crash-safety is unchanged too: the cache persists after
-every computed verdict *before* the verdict is written to the wire.
+in-flight tickets to deliver, closes the store, then closes the pool.
+Persistence has one path: with a ``store`` the server caches through a
+write-through LRU over the durable :class:`~repro.store.VerdictStore`,
+so every computed verdict is journal-appended *before* it is written
+to the wire; without one it caches nothing.
 """
 
 from __future__ import annotations
@@ -241,9 +243,7 @@ class AsyncDualityServer:
         port: int = 0,
         method: str = "fk-b",
         n_jobs: int | None = 1,
-        cache: ResultCache | str | Path | None = None,
         max_line_bytes: int = MAX_LINE_BYTES,
-        autosave_every: int = 1,
         cache_max_entries: int | None = None,
         max_inflight: int = MAX_INFLIGHT,
         auth_token: str | None = None,
@@ -258,25 +258,21 @@ class AsyncDualityServer:
         """Configure a server (nothing binds until :meth:`start`).
 
         ``port=0`` asks the OS for a free port (read it back from
-        :attr:`address` after ``start``).  ``cache`` follows
-        :class:`EngineService`'s convention: a live cache, a JSON path
-        (loaded tolerantly now, flushed atomically while serving), or
-        ``None``; ``cache_max_entries`` caps a path-loaded cache with
-        LRU eviction.  ``autosave_every`` persists the path-backed
-        cache once at least that many new verdicts accumulated (0
-        disables autosave, leaving only the shutdown flush).
-        ``max_inflight`` is the per-connection backpressure cap;
-        ``auth_token`` (when set) makes the first frame of every
-        connection a mandatory ``auth`` op.
+        :attr:`address` after ``start``).  ``max_inflight`` is the
+        per-connection backpressure cap; ``auth_token`` (when set)
+        makes the first frame of every connection a mandatory ``auth``
+        op.
 
-        ``store`` (a :class:`~repro.store.VerdictStore` or a path,
-        mutually exclusive with ``cache``) replaces the whole-file
-        autosave with the durable journal/SQLite store: every computed
-        verdict is one fsync'd append *before* it reaches the wire, two
-        server processes can share one store file, and per-engine
-        timings default into the store's ``timings`` table (an explicit
+        ``store`` (a :class:`~repro.store.VerdictStore` or a path) turns
+        caching on: the server's per-method services share one
+        :class:`ResultCache` LRU (capped by ``cache_max_entries``) that
+        writes through to the store, so every computed verdict is one
+        fsync'd append *before* it reaches the wire, two server
+        processes can share one store file, and per-engine timings
+        default into the store's ``timings`` table (an explicit
         ``timings`` path still wins).  A legacy ``cache.json`` at the
-        store path is imported automatically on open.
+        store path is imported automatically on open.  Without a store
+        the server caches nothing.
 
         Observability knobs (all off by default, all verdict-neutral):
         ``slow_ms`` logs one structured JSON line to stderr — with the
@@ -305,33 +301,17 @@ class AsyncDualityServer:
         self.method = method
         self.n_jobs = n_jobs
         self.max_line_bytes = max_line_bytes
-        self.autosave_every = autosave_every
         self.max_inflight = max_inflight
         self._auth_token = auth_token
-        self._cache_path: Path | None = None
-        if store is not None and cache is not None:
-            raise ValueError(
-                "pass either cache= (legacy whole-file persistence) or "
-                "store= (durable journal/SQLite store), not both"
-            )
         self._owns_store = isinstance(store, (str, Path))
         self.store: VerdictStore | None = (
             VerdictStore(store) if self._owns_store else store
         )
-        if self.store is not None:
-            # Write-through LRU over the store: puts are journal
-            # appends, so _maybe_autosave's whole-file path naturally
-            # never fires (new_since_save stays 0).
-            self.cache: ResultCache | None = ResultCache(
-                max_entries=cache_max_entries, backend=self.store
-            )
-        elif isinstance(cache, (str, Path)):
-            self._cache_path = Path(cache)
-            self.cache = ResultCache.load(
-                self._cache_path, max_entries=cache_max_entries
-            )
-        else:
-            self.cache = cache
+        self.cache: ResultCache | None = (
+            ResultCache(max_entries=cache_max_entries, backend=self.store)
+            if self.store is not None
+            else None
+        )
         self.pool = EnginePool(n_jobs)
         self.shard_backend: PeerBackend | None = None
         if peers:
@@ -532,9 +512,6 @@ class AsyncDualityServer:
             services = list(self._services.values())
         for service in services:
             service.close()  # borrowed pool/cache survive
-        if self._cache_path is not None and self.cache is not None:
-            if self.cache.new_since_save:
-                self.cache.save(self._cache_path)
         if self.timings is not None:
             self.timings.close()
         if self._owns_store and self.store is not None:
@@ -944,7 +921,7 @@ class AsyncDualityServer:
     ) -> None:
         """One ticket resolved: build its response and bounce it into
         the loop.  Runs in whatever thread completed the solve — never
-        the loop thread, so the autosave's disk write cannot stall ten
+        the loop thread, so building the response cannot stall ten
         thousand other connections.
         """
         error = ticket.exception()
@@ -960,9 +937,6 @@ class AsyncDualityServer:
                 record_span(
                     trace.ctx, "serialize", serialize_start, time.time()
                 )
-            # Persist before the client can read the verdict: a crash
-            # after this send loses nothing the client saw.
-            self._maybe_autosave()
             self._tally("solve")
             self.latency.observe(time.monotonic() - started)
         if trace is not None:
@@ -1027,15 +1001,6 @@ class AsyncDualityServer:
                 )
                 self._services[method] = service
         return service
-
-    def _maybe_autosave(self) -> None:
-        if (
-            self.autosave_every > 0
-            and self._cache_path is not None
-            and self.cache is not None
-            and self.cache.new_since_save >= self.autosave_every
-        ):
-            self.cache.save(self._cache_path)
 
     @staticmethod
     def _error_payload(request_id, exc: BaseException) -> dict:

@@ -16,30 +16,20 @@ order hash of both sides plus the engine name.  The key binds vertex
 labels (certificates are labelled sets) and the method (each engine has
 its own deterministic certificate), so a hit can replay the cached
 result verbatim.  ``method="portfolio"`` is the one exception — its
-winner is timing-dependent, so caching it is refused.  The cache
-persists to JSON when given a path, making repeated CLI sweeps over a
-corpus incremental.
+winner is timing-dependent, so caching it is refused.  The cache itself
+is memory-only; persistence across processes and CLI runs is a
+:class:`repro.store.VerdictStore` plugged in as its ``backend``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.duality.result import (
-    Certificate,
-    DecisionStats,
-    DualityResult,
-    FailureKind,
-    Verdict,
-)
+from repro.duality.result import DualityResult
 from repro.hypergraph import (
     Hypergraph,
     from_mask_payload,
@@ -50,98 +40,29 @@ from repro.hypergraph import (
 from repro.hypergraph import io as hgio
 from repro.obs.timings import TimingLog, structural_features
 from repro.obs.trace import span
-from repro.parallel.codec import (
-    CodecError,
-    decode_vertex_set,
-    encode_vertex_set,
-)
 from repro.parallel.executor import WorkerPool, resolve_n_jobs
 
 
-def result_to_json(result: DualityResult) -> dict | None:
-    """One verdict as a JSON-safe entry dict (``None`` for witnesses the
-    codec cannot express — such results stay memory-only).
-
-    The shared persistence format of the legacy JSON cache file and the
-    durable :mod:`repro.store` journal/database: ``verdict`` /
-    ``method`` / ``kind`` / ``witness`` (tagged codec) / ``detail`` /
-    ``path``.
-    """
-    cert = result.certificate
-    try:
-        witness = encode_vertex_set(cert.witness)
-    except CodecError:
-        return None
-    return {
-        "verdict": result.verdict.value,
-        "method": result.method,
-        "kind": cert.kind.name if cert.kind is not None else None,
-        "witness": witness,
-        "detail": cert.detail,
-        "path": list(cert.path) if cert.path is not None else None,
-    }
-
-
-def result_from_json(entry: dict) -> DualityResult:
-    """Rebuild a :class:`DualityResult` from :func:`result_to_json` output.
-
-    Replayed results carry fresh stats with ``extra["cached"] = True`` —
-    work counters are not persisted, only the answer is.  Raises
-    (``KeyError`` / ``ValueError`` / :class:`CodecError`) on entries
-    from unknown or pre-codec formats; loaders treat that as a miss.
-    """
-    stats = DecisionStats()
-    stats.extra["cached"] = True
-    return DualityResult(
-        verdict=Verdict(entry["verdict"]),
-        certificate=Certificate(
-            kind=FailureKind[entry["kind"]] if entry["kind"] else None,
-            witness=decode_vertex_set(entry["witness"]),
-            detail=entry.get("detail", ""),
-            path=tuple(entry["path"]) if entry["path"] is not None else None,
-        ),
-        stats=stats,
-        method=entry["method"],
-    )
-
-
 class ResultCache:
-    """A verdict/certificate cache keyed by canonical instance hash.
+    """A thread-safe LRU of verdicts keyed by canonical instance hash.
 
-    In memory the cache stores :class:`DualityResult` objects directly.
-    ``save``/``load`` round-trip through JSON for persistence across
-    processes and CLI runs.  Witness vertices travel through the tagged
-    codec of :mod:`repro.parallel.codec`, so every vertex type the
-    library constructs (ints, strings, nested tuples, frozensets)
-    survives the round trip with its exact type; only truly exotic
-    labels (user-defined objects) fall back to memory-only entries.
-    Replayed results carry fresh stats with ``extra["cached"] = True`` —
-    work counters are not replayed, only the answer is.
+    The cache stores :class:`DualityResult` objects directly; a long-
+    lived service multiplexes many connection handlers onto one
+    instance, so every read and write takes an internal lock.
 
     ``max_entries`` bounds the cache with LRU eviction: both
     :meth:`get` (a hit) and :meth:`put` refresh an entry's recency, and
     once the cap is exceeded the least-recently-used entries are
     dropped (counted in ``evictions``).  The default ``None`` keeps the
-    cache unbounded — the pre-PR-5 behaviour.  Persistence preserves
-    the recency order (least-recent first on disk), so a bounded cache
-    reloaded across sessions evicts the same entries it would have kept
-    evicting.
-
-    The cache is thread-safe: a long-lived service multiplexes many
-    connection handlers onto one instance, so every read and write
-    takes an internal lock, and :meth:`save` is atomic (a temp-file
-    write followed by ``os.replace``) so a crash mid-save leaves the
-    previous generation of the file intact, never a truncated one.
+    cache unbounded.
 
     ``backend`` plugs in a durable store behind the LRU — anything with
     the :class:`repro.store.VerdictStore` ``get(key)`` /
     ``put(key, result, digest=...)`` surface.  Reads fall through to
     the backend on a memory miss (a backend hit is promoted into the
     LRU and counted as a hit); writes go **through** immediately, so a
-    backend-held verdict is durable the moment :meth:`put` returns and
-    the whole-file :meth:`save` cycle has nothing left to do
-    (``new_since_save`` stays 0).  The in-memory LRU semantics —
-    recency, eviction, the cap — are unchanged in both modes.
+    backend-held verdict is durable the moment :meth:`put` returns.
+    Without a backend the cache lives and dies with its process.
     """
 
     def __init__(
@@ -153,17 +74,6 @@ class ResultCache:
             )
         self._entries: OrderedDict[str, DualityResult] = OrderedDict()
         self._lock = threading.RLock()
-        # Serializes whole save() calls (snapshot through os.replace).
-        # The entry lock alone is not enough: two concurrent autosaves
-        # could snapshot in one order and os.replace in the other,
-        # leaving an *older* snapshot as the file on disk — losing a
-        # verdict some client already received.  Savers queue; readers
-        # and writers of entries never wait on disk I/O.
-        self._save_lock = threading.Lock()
-        # Keys added since the last save *and still present*: eviction
-        # and key-overwrites must not inflate the dirty count, or a
-        # churning bounded cache keeps autosaving an unchanged file.
-        self._unsaved: set[str] = set()
         self.backend = backend
         self.max_entries = max_entries
         self.hits = 0
@@ -179,22 +89,6 @@ class ResultCache:
             return key in self._entries
 
     @property
-    def new_since_save(self) -> int:
-        """Entries a :meth:`save` would write that no save has yet written.
-
-        Lets a long-lived service persist only when there is something
-        new — drain-time autosaves stay free on all-hit batches.
-        Evicted entries leave the count (a save would not write them)
-        and re-putting an existing key does not grow it (the file
-        already holds that verdict), so a churning bounded cache never
-        triggers autosaves that rewrite an unchanged file.  With a
-        durable ``backend`` every put is already persisted, so this
-        stays 0 and the whole-file save path never fires.
-        """
-        with self._lock:
-            return len(self._unsaved)
-
-    @property
     def backed(self) -> bool:
         """True when a durable backend receives every put."""
         return self.backend is not None
@@ -204,8 +98,7 @@ class ResultCache:
 
         A hit refreshes the entry's recency (it becomes the last one an
         LRU eviction would drop).  On a memory miss a backend (when
-        plugged in) is consulted; its hit is promoted into the LRU —
-        without marking it dirty, the backend already holds it — and
+        plugged in) is consulted; its hit is promoted into the LRU and
         counted as a hit.
         """
         with self._lock:
@@ -240,8 +133,6 @@ class ResultCache:
             # durable (the persist-before-resolve guarantee).
             self.backend.put(key, result, digest=digest)
         with self._lock:
-            if self.backend is None and key not in self._entries:
-                self._unsaved.add(key)
             self._entries[key] = result
             self._entries.move_to_end(key)
             self._evict_over_cap()
@@ -251,8 +142,7 @@ class ResultCache:
         if self.max_entries is None:
             return
         while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._unsaved.discard(evicted)
+            self._entries.popitem(last=False)
             self.evictions += 1
 
     def register_metrics(self, registry) -> None:
@@ -270,111 +160,6 @@ class ResultCache:
         registry.gauge_fn(
             "cache_entries", "Entries currently cached", lambda: len(self)
         )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    # The entry codec lives at module level (:func:`result_to_json` /
-    # :func:`result_from_json`) so the durable store shares it; the
-    # historical staticmethod names remain as aliases.
-    _entry_to_json = staticmethod(result_to_json)
-    _entry_from_json = staticmethod(result_from_json)
-
-    def save(self, path: str | Path) -> int:
-        """Write the JSON-representable entries; returns how many.
-
-        Entries land in recency order (least-recently-used first), so a
-        bounded cache survives a save/load round trip with its eviction
-        order intact.  The write is atomic: the JSON lands in a temp
-        sibling first and is ``os.replace``d into place, so a crash
-        (even ``kill -9``) mid-save leaves either the previous
-        generation of the file or the new one — never a truncated,
-        unparseable hybrid.
-        """
-        with self._save_lock:
-            with self._lock:
-                out = {}
-                for key, result in self._entries.items():
-                    entry = self._entry_to_json(result)
-                    if entry is not None:
-                        out[key] = entry
-                snapshotted = set(self._unsaved)
-            path = Path(path)
-            data = json.dumps(out, indent=1) + "\n"
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            with self._lock:
-                # Only a *successful* write retires the dirty keys — a
-                # failed save must leave the entries marked unsaved so
-                # the next flush (or the shutdown flush) retries them.
-                # Keys added while the file was being written stay
-                # marked.
-                self._unsaved -= snapshotted
-            return len(out)
-
-    @classmethod
-    def load(
-        cls, path: str | Path, max_entries: int | None = None
-    ) -> "ResultCache":
-        """Read a cache written by :meth:`save` (missing file → empty).
-
-        ``max_entries`` caps the loaded cache with LRU eviction; a file
-        larger than the cap keeps only its most recent entries (files
-        store least-recent first).  Entries from older cache formats
-        (pre-codec plain witnesses) fail to decode and are dropped — a
-        stale entry becomes a miss, never a wrong answer.  The same
-        degrade-to-misses rule covers the whole file: an unreadable or
-        corrupt cache yields an empty cache with a warning, so a
-        damaged file can cost recomputation but can never block a
-        service from starting.
-        """
-        cache = cls(max_entries=max_entries)
-        path = Path(path)
-        if not path.exists():
-            return cache
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            warnings.warn(
-                f"result cache {path} is unreadable ({exc}); "
-                f"starting with an empty cache",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return cache
-        if not isinstance(raw, dict):
-            warnings.warn(
-                f"result cache {path} does not hold a JSON object; "
-                f"starting with an empty cache",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return cache
-        with cache._lock:
-            # File order is recency order (least-recent first): insert
-            # in order and let the cap evict from the front, so only
-            # the most recent entries survive an over-cap load.
-            for key, entry in raw.items():
-                try:
-                    cache._entries[key] = cls._entry_from_json(entry)
-                except (CodecError, KeyError, TypeError, ValueError):
-                    continue
-            cache._evict_over_cap()
-        return cache
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Lossless JSON codec for vertex labels, witnesses and results.
 
-The :class:`~repro.parallel.batch.ResultCache` persists verdicts and
-certificates as JSON.  Plain ``json.dumps`` can only express a subset of
+The :class:`~repro.store.VerdictStore` persists verdicts and
+certificates as JSON, and the wire protocol ships them the same way.  Plain ``json.dumps`` can only express a subset of
 the vertex types the library actually produces — the generators label
 vertices with tuples (``disjoint_union_pair`` tags sides as ``(0, v)``,
 ``perturb_enlarge_edge`` mints ``("fresh", n)``) and JSON would either

@@ -11,8 +11,8 @@ makes *many concurrent* calls cheap.  Its pieces:
   detected, the pool respawns, and **only the lost items** re-run.
 * :class:`EngineService` — the scheduler front end ``repro serve`` and
   the TCP server drive: a :class:`~repro.parallel.batch.ResultCache`
-  consulted *at submit time* (hits resolve instantly, optionally
-  persisted across sessions), in-flight dedup of identical instances,
+  consulted *at submit time* (hits resolve instantly; with ``store=``
+  it writes through to a durable :class:`~repro.store.VerdictStore`), in-flight dedup of identical instances,
   and a :class:`ServiceTicket` per request — an id that doubles as a
   completion handle.  ``drain`` remains the lock-step view: responses
   in submission order with the same verdicts and certificates serial

@@ -9,8 +9,10 @@ verdict exists.  The pieces, wired in the right order:
 
 1. a :class:`~repro.parallel.batch.ResultCache` consulted **at submit
    time** — a repeat instance's ticket resolves instantly, without ever
-   reaching a worker, and the cache optionally persists to disk so hits
-   survive across service sessions;
+   reaching a worker.  With ``store=`` the cache is a write-through LRU
+   over a durable :class:`~repro.store.VerdictStore` (the one
+   persistence path), so hits survive across service sessions and
+   processes;
 2. an in-flight index — identical instances submitted concurrently
    share one computation (the first ticket is the primary, the rest
    replay its verdict, exactly the dedup rule ``solve_many`` applies
@@ -182,9 +184,8 @@ class EngineService:
         self,
         method: str = "fk-b",
         n_jobs: int | None = 1,
-        cache: ResultCache | str | Path | None = None,
+        cache: ResultCache | None = None,
         pool: EnginePool | None = None,
-        autosave: bool = True,
         cache_max_entries: int | None = None,
         timings: TimingLog | str | Path | None = None,
         store: VerdictStore | str | Path | None = None,
@@ -192,30 +193,25 @@ class EngineService:
     ) -> None:
         """Start a service session.
 
-        ``cache`` may be a live :class:`ResultCache`, a path (loaded
-        now, persisted after every computed verdict while ``autosave``
-        holds and again on :meth:`close` — the cross-session
-        persistence mode), or ``None`` for no caching.  ``autosave=
-        False`` restores the save-only-on-close behaviour for callers
-        that batch their own persistence.  ``cache_max_entries`` caps a
-        path-loaded cache with LRU eviction (``None`` — the default —
-        keeps it unbounded; ignored for a live ``cache`` object, which
-        carries its own cap).  ``pool`` lets several services share one
+        ``cache`` may be a live in-memory :class:`ResultCache` (the net
+        server shares one across its per-method services) or ``None``
+        for no caching.  ``pool`` lets several services share one
         warm :class:`EnginePool`; a pool the service created itself is
         shut down on :meth:`close`, a borrowed one is left running.
         ``timings`` (a :class:`~repro.obs.timings.TimingLog` or a path)
         records every computed solve — engine, elapsed, structural
         features — as one JSONL line; verdicts are never affected.
 
-        ``store`` (a :class:`~repro.store.VerdictStore` or a path)
-        replaces the whole-file cache persistence with the durable
-        journal/SQLite store: every computed verdict is one fsync'd
-        journal append, the in-memory :class:`ResultCache` becomes a
-        read-through/write-through LRU over it, and — unless an
-        explicit ``timings`` sink is given — per-engine timings land in
-        the store's ``timings`` table.  Mutually exclusive with
-        ``cache``; a store the service opened from a path is closed on
-        :meth:`close`, a live one is left open for its other users.
+        ``store`` (a :class:`~repro.store.VerdictStore` or a path) is
+        the persistence path: every computed verdict is one fsync'd
+        journal append before its ticket resolves, the service's
+        :class:`ResultCache` becomes a read-through/write-through LRU
+        over it (capped by ``cache_max_entries``; ``None`` keeps it
+        unbounded), and — unless an explicit ``timings`` sink is given
+        — per-engine timings land in the store's ``timings`` table.
+        Mutually exclusive with ``cache``; a store the service opened
+        from a path is closed on :meth:`close`, a live one is left open
+        for its other users.
 
         ``shard_backend`` (a :class:`~repro.parallel.backends.ShardBackend`)
         redirects cache-miss solves of the parallel methods (``fk-a``,
@@ -227,9 +223,14 @@ class EngineService:
         (its owner closes it).
         """
         self.method = method
+        if isinstance(cache, (str, Path)):
+            raise TypeError(
+                "cache= takes a live ResultCache; persist verdicts with "
+                "store=<path> (a durable VerdictStore) instead"
+            )
         if store is not None and cache is not None:
             raise ValueError(
-                "pass either cache= (legacy whole-file persistence) or "
+                "pass either cache= (an in-memory ResultCache) or "
                 "store= (durable journal/SQLite store), not both"
             )
         if method in ("portfolio", "auto") and store is not None:
@@ -249,24 +250,15 @@ class EngineService:
                 "(and hence the certificate) depends on timing; pick a "
                 "concrete engine or drop the cache"
             )
-        self._cache_path: Path | None = None
-        self._autosave = autosave
         self._owns_store = isinstance(store, (str, Path))
         self.store: VerdictStore | None = (
             VerdictStore(store) if self._owns_store else store
         )
         if self.store is not None:
             # Write-through LRU over the durable store: every put is
-            # journal-appended before it is visible, so the whole-file
-            # persist()/autosave machinery naturally no-ops
-            # (new_since_save stays 0).
+            # journal-appended before it is visible.
             self.cache: ResultCache | None = ResultCache(
                 max_entries=cache_max_entries, backend=self.store
-            )
-        elif isinstance(cache, (str, Path)):
-            self._cache_path = Path(cache)
-            self.cache = ResultCache.load(
-                self._cache_path, max_entries=cache_max_entries
             )
         else:
             self.cache = cache
@@ -494,11 +486,6 @@ class EngineService:
             trace.sink.extend(worker_spans)
         if self.timings is not None:
             self._record_timings(entry, result, elapsed, trace)
-        if self._autosave:
-            # Persist before resolving: once a waiter has its answer,
-            # the verdict is already on disk — a crash loses nothing
-            # the service ever reported.
-            self.persist()
         with self._lock:
             self.by_origin["computed"] += 1
             self.by_origin["dedup"] += len(tickets) - 1
@@ -605,9 +592,9 @@ class EngineService:
         (the first one, in submission order) after the whole batch has
         settled — the rest of the batch is still computed and cached.
         The service stays open — submit/drain cycles repeat on the same
-        workers.  In path-cache mode every computed verdict has already
-        been persisted (atomically) by the time its ticket resolves, so
-        a session that crashes later has lost nothing it answered.
+        workers.  In store mode every computed verdict has already been
+        journal-appended by the time its ticket resolves, so a session
+        that crashes later has lost nothing it answered.
         """
         if self._closed:
             raise PoolClosedError("service is closed; open a new EngineService")
@@ -624,8 +611,6 @@ class EngineService:
                 responses.append(ticket.result())
         if first_error is not None:
             raise first_error
-        if self._autosave:
-            self.persist()
         return responses
 
     def solve(self, g: Hypergraph, h: Hypergraph) -> ServiceResponse:
@@ -657,6 +642,7 @@ class EngineService:
         if self.cache is not None:
             out["cache_hits"] = self.cache.hits
             out["cache_misses"] = self.cache.misses
+            out["cache_evictions"] = self.cache.evictions
             out["cache_entries"] = len(self.cache)
         if self.timings is not None:
             out["timings_recorded"] = self.timings.records_written
@@ -688,24 +674,8 @@ class EngineService:
         if self.store is not None:
             self.store.register_metrics(registry)
 
-    def persist(self) -> int:
-        """Flush new cache entries to the session's cache path (if any).
-
-        A no-op without a path-backed cache or when nothing changed
-        since the last save; returns the number of entries on disk
-        after the flush (0 when skipped).  The underlying
-        :meth:`ResultCache.save` is atomic, so a crash mid-persist
-        leaves the previous cache generation loadable.  Thread-safe —
-        completion callbacks call this after every computed verdict.
-        """
-        if self._cache_path is None or self.cache is None:
-            return 0
-        if self.cache.new_since_save == 0:
-            return 0
-        return self.cache.save(self._cache_path)
-
     def close(self) -> None:
-        """End the session: persist the cache, release owned workers.
+        """End the session: release the owned store, log and workers.
 
         Idempotent.  A borrowed pool (one passed into the constructor)
         is left running for its other users; with an owned pool, any
@@ -714,7 +684,6 @@ class EngineService:
         if self._closed:
             return
         self._closed = True
-        self.persist()
         if self._owns_timings and self.timings is not None:
             self.timings.close()
         if self._owns_store and self.store is not None:

@@ -1,11 +1,10 @@
 """The durable verdict store: journal-append persistence over SQLite.
 
-The pre-PR-8 persistence story was :meth:`ResultCache.save`: every
-autosave re-serialised the *entire* cache and atomically replaced the
-JSON file — O(cache) work per flush, O(n²) over a session that computes
-n verdicts, and fundamentally single-process (two servers saving the
-same file overwrite each other's verdicts).  :class:`VerdictStore`
-replaces that contract with two cooperating layers:
+:class:`VerdictStore` is the one persistence path of the stack, and
+this module is the one place that knows the on-disk verdict entry
+format (:func:`result_to_json` / :func:`result_from_json`).  It
+replaces the old whole-file ``cache.json`` rewrite — O(cache) work per
+flush and fundamentally single-process — with two cooperating layers:
 
 * an **append-only JSONL journal** (``<path>.journal``) — each
   :meth:`put` appends one self-contained line with a single
@@ -37,12 +36,15 @@ land in a ``timings`` table of the same database via
 :meth:`record_timing` / :meth:`timing_log`, making the store the single
 system of record ROADMAP directions 2 and 3 ask for.
 
-Degradation rules mirror the cache's: a corrupt database or journal is
-quarantined (renamed aside with a warning) and the store opens empty —
-damage costs recomputation, never a wrong answer and never a refusal to
-start.  A legacy ``cache.json`` at the store path is detected by
-content sniffing and imported automatically, with the original kept as
-``<path>.legacy``.
+Degradation rule: a corrupt database or journal is quarantined
+(renamed aside with a warning) and the store opens empty — damage
+costs recomputation, never a wrong answer and never a refusal to
+start.  A legacy ``cache.json`` (the whole-file format of earlier
+releases: one JSON object of ``{instance_key: entry}``) at the store
+path is detected by content sniffing and imported automatically, with
+the original kept as ``<path>.legacy``; entries that do not decode
+(pre-codec witnesses, unknown formats) are skipped, so a stale entry
+becomes a miss, never an error.
 """
 
 from __future__ import annotations
@@ -60,8 +62,14 @@ try:  # pragma: no cover - always present on the POSIX targets CI runs
 except ImportError:  # pragma: no cover - windows fallback: in-process only
     fcntl = None
 
-from repro.duality.result import DualityResult, Verdict
-from repro.parallel.batch import result_from_json, result_to_json
+from repro.duality.result import (
+    Certificate,
+    DecisionStats,
+    DualityResult,
+    FailureKind,
+    Verdict,
+)
+from repro.parallel.codec import CodecError, decode_vertex_set, encode_vertex_set
 
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 
@@ -95,6 +103,52 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 """
+
+
+def result_to_json(result: DualityResult) -> dict | None:
+    """One verdict as a JSON-safe entry dict (``None`` for witnesses the
+    codec cannot express — such results stay memory-only).
+
+    The store's entry format, shared by the journal, the database rows
+    and legacy ``cache.json`` imports: ``verdict`` / ``method`` /
+    ``kind`` / ``witness`` (tagged codec) / ``detail`` / ``path``.
+    """
+    cert = result.certificate
+    try:
+        witness = encode_vertex_set(cert.witness)
+    except CodecError:
+        return None
+    return {
+        "verdict": result.verdict.value,
+        "method": result.method,
+        "kind": cert.kind.name if cert.kind is not None else None,
+        "witness": witness,
+        "detail": cert.detail,
+        "path": list(cert.path) if cert.path is not None else None,
+    }
+
+
+def result_from_json(entry: dict) -> DualityResult:
+    """Rebuild a :class:`DualityResult` from :func:`result_to_json` output.
+
+    Replayed results carry fresh stats with ``extra["cached"] = True`` —
+    work counters are not persisted, only the answer is.  Raises
+    (``KeyError`` / ``TypeError`` / ``ValueError`` / :class:`CodecError`)
+    on entries from unknown or pre-codec formats.
+    """
+    stats = DecisionStats()
+    stats.extra["cached"] = True
+    return DualityResult(
+        verdict=Verdict(entry["verdict"]),
+        certificate=Certificate(
+            kind=FailureKind[entry["kind"]] if entry["kind"] else None,
+            witness=decode_vertex_set(entry["witness"]),
+            detail=entry.get("detail", ""),
+            path=tuple(entry["path"]) if entry["path"] is not None else None,
+        ),
+        stats=stats,
+        method=entry["method"],
+    )
 
 
 def _flock(fd: int, op: int) -> None:
@@ -201,7 +255,7 @@ class VerdictStore:
     def _sniff_legacy(self) -> dict | None:
         """Ensure ``self.path`` is absent, empty, or a SQLite database.
 
-        A legacy ``ResultCache.save`` JSON file is moved aside to
+        A legacy ``cache.json`` file is moved aside to
         ``<path>.legacy`` and its entries returned for import; anything
         else that is not SQLite is quarantined to ``<path>.corrupt``
         with a warning (degrade to misses, never refuse to start).
@@ -274,8 +328,8 @@ class VerdictStore:
         self, key: str, result: DualityResult, digest: str | None = None
     ) -> bool:
         """Persist one verdict durably; False if its witness has no
-        JSON encoding (user-defined vertex types — the same entries a
-        :meth:`ResultCache.save` would silently skip)."""
+        JSON encoding (user-defined vertex types — such verdicts stay
+        in the caller's memory only)."""
         entry = result_to_json(result)
         if entry is None:
             return False
@@ -502,22 +556,24 @@ class VerdictStore:
     # ------------------------------------------------------------------
 
     def import_entries(self, payload: dict) -> int:
-        """Insert a ``ResultCache.save``-shaped ``{key: entry}`` dict.
+        """Insert a legacy ``{instance_key: entry}`` dict.
 
-        Entries that do not look like verdict entries are skipped; the
-        count of imported rows is returned.  Existing keys are
-        overwritten — an import is declared truth.
+        Entries that :func:`result_from_json` cannot decode (pre-codec
+        witnesses, unknown formats, non-dict values) are skipped — a
+        stale entry becomes a miss, never an error on a later
+        :meth:`get`.  The count of imported rows is returned.  Existing
+        keys are overwritten — an import is declared truth.
         """
         imported = 0
         with self._lock:
             self._conn.execute("BEGIN")
             try:
                 for key, entry in payload.items():
-                    if not (
-                        isinstance(key, str)
-                        and isinstance(entry, dict)
-                        and "verdict" in entry
-                    ):
+                    if not isinstance(key, str) or not isinstance(entry, dict):
+                        continue
+                    try:
+                        result_from_json(entry)
+                    except (CodecError, KeyError, TypeError, ValueError):
                         continue
                     self._insert(key, None, entry)
                     imported += 1

@@ -58,16 +58,16 @@ def test_corpus_replays_through_solve_many():
 
 
 def test_corpus_replays_through_the_service(tmp_path):
-    cache_path = tmp_path / "corpus-cache.json"
-    with EngineService(method="bm", cache=cache_path) as service:
+    store_path = tmp_path / "corpus-store.db"
+    with EngineService(method="bm", store=store_path) as service:
         for path in _files():
             service.submit(path)
         responses = service.drain()
     for response, (name, entry) in zip(responses, sorted(MANIFEST.items())):
         assert response.is_dual == (entry["verdict"] == "dual"), name
 
-    # A second service session answers the whole corpus from the cache.
-    with EngineService(method="bm", cache=cache_path) as replay:
+    # A second service session answers the whole corpus from the store.
+    with EngineService(method="bm", store=store_path) as replay:
         for path in _files():
             replay.submit(path)
         replayed = replay.drain()

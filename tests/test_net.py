@@ -25,7 +25,6 @@ import signal
 import socket
 import subprocess
 import sys
-import textwrap
 import threading
 import time
 from pathlib import Path
@@ -59,6 +58,7 @@ from repro.parallel import ResultCache, solve_many
 from repro.parallel.batch import load_instance
 from repro.parallel.codec import decode_vertex_set
 from repro.service import EngineService
+from repro.store import VerdictStore
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
@@ -172,12 +172,12 @@ class TestServerCorrectness:
                     response = client.solve(g, h)
                     assert _response_fields(response) == _reference_fields(g, h)
 
-    def test_concurrent_clients_get_serial_identical_verdicts(self):
+    def test_concurrent_clients_get_serial_identical_verdicts(self, tmp_path):
         instances = _instances()
         references = [_reference_fields(g, h) for g, h in instances]
         errors: list[BaseException] = []
 
-        with DualityServer(method="fk-b", cache=ResultCache()) as server:
+        with DualityServer(method="fk-b", store=tmp_path / "s.db") as server:
             host, port = server.address
 
             def one_client(order: int) -> None:
@@ -239,7 +239,7 @@ class TestServerCorrectness:
         # A portfolio winner is timing-dependent, so the server must
         # serve it past the shared cache, not through it.
         g, h = matching_dual_pair(3)
-        with DualityServer(cache=tmp_path / "cache.json") as server:
+        with DualityServer(store=tmp_path / "store.db") as server:
             with DualityClient(*server.address) as client:
                 first = client.solve(g, h, method="portfolio")
                 second = client.solve(g, h, method="portfolio")
@@ -556,28 +556,6 @@ class TestResultCacheLRU:
         cache.put("d", result)
         assert "a" in cache and "b" not in cache
 
-    def test_save_load_preserve_recency_order(self, result, tmp_path):
-        path = tmp_path / "lru.json"
-        cache = ResultCache(max_entries=3)
-        for key in ("a", "b", "c"):
-            cache.put(key, result)
-        cache.get("a")  # order on disk: b, c, a (least recent first)
-        assert cache.save(path) == 3
-        reloaded = ResultCache.load(path, max_entries=3)
-        reloaded.put("d", result)  # evicts "b", exactly as the original would
-        assert "b" not in reloaded
-        assert all(key in reloaded for key in ("a", "c", "d"))
-
-    def test_load_over_cap_keeps_most_recent(self, result, tmp_path):
-        path = tmp_path / "big.json"
-        cache = ResultCache()
-        for n in range(6):
-            cache.put(f"key-{n}", result)
-        cache.save(path)
-        trimmed = ResultCache.load(path, max_entries=2)
-        assert len(trimmed) == 2
-        assert "key-4" in trimmed and "key-5" in trimmed
-
     def test_rejects_nonsensical_cap(self):
         with pytest.raises(ValueError, match="positive"):
             ResultCache(max_entries=0)
@@ -589,124 +567,62 @@ class TestResultCacheLRU:
 
 class TestCrashSafePersistence:
     def test_cache_persists_across_server_generations(self, tmp_path):
-        cache_path = tmp_path / "net-cache.json"
+        store_path = tmp_path / "net-store.db"
         g, h = matching_dual_pair(3)
-        with DualityServer(cache=cache_path) as server:
+        with DualityServer(store=store_path) as server:
             with DualityClient(*server.address) as client:
                 assert client.solve(g, h)["cached"] is False
-                # Autosave already flushed — before shutdown.
-                assert cache_path.exists()
-        with DualityServer(cache=cache_path) as server:
+                # Journal-appended before the answer — before shutdown.
+                probe = VerdictStore(store_path)
+                assert len(probe) == 1
+                probe.close()
+        with DualityServer(store=store_path) as server:
             with DualityClient(*server.address) as client:
                 assert client.solve(g, h)["cached"] is True
-
-    def test_kill_dash_nine_mid_save_leaves_a_loadable_cache(self, tmp_path):
-        """SIGKILL a process that is atomically re-saving a large cache
-        in a tight loop; whatever instant it died at, the file on disk
-        must parse as a complete (previous or current) generation."""
-        cache_path = tmp_path / "cache.json"
-        seed_path = tmp_path / "seed.json"
-
-        cache = ResultCache()
-        (item,) = solve_many([matching_dual_pair(3)], method="fk-b", cache=cache)
-        entries = ResultCache._entry_to_json(item.result)
-        # A deliberately large file so a non-atomic writer would very
-        # likely be caught mid-write by the kill below.
-        seed = {f"key-{i:06d}": entries for i in range(4000)}
-        seed_path.write_text(json.dumps(seed), encoding="utf-8")
-
-        script = textwrap.dedent(
-            """
-            import sys
-            sys.path.insert(0, sys.argv[3])
-            from repro.parallel.batch import ResultCache
-            cache = ResultCache.load(sys.argv[1])
-            assert len(cache) > 0
-            print("ready", flush=True)
-            while True:
-                cache.save(sys.argv[2])
-            """
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        child = subprocess.Popen(
-            [sys.executable, "-c", script, str(seed_path), str(cache_path), src],
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            assert child.stdout.readline().strip() == "ready"
-            deadline = time.monotonic() + 30
-            while not cache_path.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.05)  # land the kill inside some save cycle
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:  # pragma: no cover - cleanup
-                child.kill()
-                child.wait()
-
-        reloaded = ResultCache.load(cache_path)  # must not raise
-        assert len(reloaded) == 4000
-        # A SIGKILL inside the write window can strand at most the one
-        # in-progress temp sibling (cleanup code never runs on -9);
-        # what it must never do is leave cache.json itself truncated.
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert len(leftovers) <= 1
 
     def test_corrupt_cache_file_degrades_to_misses_with_a_warning(
         self, tmp_path
     ):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text('{"truncated": ', encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            cache = ResultCache.load(cache_path)
-        assert len(cache) == 0
+        path = tmp_path / "cache.json"
+        for damage in ('{"truncated": ', "[1, 2, 3]"):
+            path.write_text(damage, encoding="utf-8")
+            with pytest.warns(RuntimeWarning, match="unreadable"):
+                store = VerdictStore(path)
+            assert len(store) == 0
+            store.close()
 
-        cache_path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="JSON object"):
-            cache = ResultCache.load(cache_path)
-        assert len(cache) == 0
-
-        # A damaged cache must never block service startup.
+        # A damaged file must never block server startup.
+        path.unlink()
+        path.write_text('{"truncated": ', encoding="utf-8")
         with pytest.warns(RuntimeWarning):
-            with EngineService(method="fk-b", cache=cache_path) as service:
-                assert service.solve(*matching_dual_pair(2)).is_dual
-        # …and the session repaired the file on disk.
-        reloaded = ResultCache.load(cache_path)
-        assert len(reloaded) == 1
-
-    def test_failed_save_keeps_entries_marked_unsaved(self, tmp_path):
-        """A save that dies (disk full, unwritable dir) must not retire
-        the dirty count — the shutdown flush has to retry the write."""
-        cache = ResultCache()
-        solve_many([matching_dual_pair(2)], method="fk-b", cache=cache)
-        assert cache.new_since_save == 1
-        with pytest.raises(FileNotFoundError):
-            cache.save(tmp_path / "no" / "such" / "dir" / "cache.json")
-        assert cache.new_since_save == 1  # still dirty
-        good = tmp_path / "cache.json"
-        assert cache.save(good) == 1
-        assert cache.new_since_save == 0
-        assert len(ResultCache.load(good)) == 1
+            with DualityServer(method="fk-b", store=path) as server:
+                with DualityClient(*server.address) as client:
+                    assert client.solve(*matching_dual_pair(2))["dual"] is True
+        # …and the session left a working store at the path.
+        store = VerdictStore(path)
+        assert len(store) == 1
+        store.close()
 
     def test_non_dict_cache_entry_is_skipped_not_fatal(self, tmp_path):
         cache_path = tmp_path / "cache.json"
         cache_path.write_text('{"key": "not an entry"}', encoding="utf-8")
-        assert len(ResultCache.load(cache_path)) == 0
+        store = VerdictStore(cache_path)  # legacy import on open
+        assert store.imported == 0 and len(store) == 0
+        assert store.get("key") is None
+        store.close()
 
     def test_session_killed_after_drain_loses_nothing(self, tmp_path):
         """Regression: verdicts used to persist only in close(), so a
         crashed session lost everything it computed."""
-        cache_path = tmp_path / "cache.json"
-        service = EngineService(method="fk-b", cache=cache_path)
+        store_path = tmp_path / "store.db"
+        service = EngineService(method="fk-b", store=store_path)
         service.submit(matching_dual_pair(3))
         service.submit(hard_nondual_pair(3))
         originals = service.drain()
         # The session "crashes" here: no close(), no atexit, nothing.
         del service
 
-        with EngineService(method="fk-b", cache=cache_path) as second:
+        with EngineService(method="fk-b", store=store_path) as second:
             second.submit(matching_dual_pair(3))
             second.submit(hard_nondual_pair(3))
             replayed = second.drain()
@@ -716,23 +632,14 @@ class TestCrashSafePersistence:
             assert replay.result.verdict == original.result.verdict
             assert replay.result.certificate == original.result.certificate
 
-    def test_autosave_false_restores_save_on_close_only(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        with EngineService(
-            method="fk-b", cache=cache_path, autosave=False
-        ) as service:
-            service.submit(matching_dual_pair(2))
-            service.drain()
-            assert not cache_path.exists()
-        assert cache_path.exists()
-
     def test_save_skips_when_nothing_new(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        with EngineService(method="fk-b", cache=cache_path) as service:
+        with EngineService(method="fk-b", store=tmp_path / "s.db") as service:
             service.solve(*matching_dual_pair(2))
-            first_stat = cache_path.stat().st_mtime_ns
+            puts = service.store.puts
+            journal = service.store.journal_bytes()
             service.solve(*matching_dual_pair(2))  # a pure cache hit
-            assert cache_path.stat().st_mtime_ns == first_stat
+            assert service.store.puts == puts
+            assert service.store.journal_bytes() == journal
 
 
 # ---------------------------------------------------------------------------
@@ -1312,10 +1219,9 @@ class TestReconnectMidPipeline:
 
 class TestStatsCounters:
     def test_stats_reports_backpressure_cache_and_latency(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
         g, h = matching_dual_pair(3)
         with DualityServer(
-            cache=cache_path, cache_max_entries=1, autosave_every=1
+            store=tmp_path / "store.db", cache_max_entries=1
         ) as server:
             host, port = server.address
             with DualityClient(host, port, timeout=60) as client:
@@ -1362,7 +1268,7 @@ class TestConnectionScale:
     CONNECTIONS = 1000
     WAVE = 200
 
-    def test_1k_connections_ping_and_solve(self):
+    def test_1k_connections_ping_and_solve(self, tmp_path):
         """One event loop holds 1000 live connections: every one of
         them pings, every one of them gets a verdict, and the server
         reports them all open at once."""
@@ -1403,7 +1309,7 @@ class TestConnectionScale:
                         )
                     )
 
-        with DualityServer(method="fk-b", cache=ResultCache()) as server:
+        with DualityServer(method="fk-b", store=tmp_path / "s.db") as server:
             host, port = server.address
             stats = asyncio.run(drive(host, port))
         assert stats["connections_accepted"] == self.CONNECTIONS

@@ -313,9 +313,9 @@ class TestOrigins:
             assert response.is_dual == primary.is_dual
         assert stats["by_origin"]["dedup"] == 2
 
-    def test_origin_travels_the_wire(self):
+    def test_origin_travels_the_wire(self, tmp_path):
         pair = matching_dual_pair(2)
-        with DualityServer(method="fk-b", cache=ResultCache()) as server:
+        with DualityServer(method="fk-b", store=tmp_path / "s.db") as server:
             with DualityClient(*server.address) as client:
                 first = client.solve(*pair)
                 second = client.solve(*pair)
@@ -434,9 +434,9 @@ class TestTracePropagation:
 # ---------------------------------------------------------------------------
 
 class TestServerMetrics:
-    def test_metrics_op_returns_valid_exposition(self):
+    def test_metrics_op_returns_valid_exposition(self, tmp_path):
         pair = matching_dual_pair(2)
-        with DualityServer(method="fk-b", cache=ResultCache()) as server:
+        with DualityServer(method="fk-b", store=tmp_path / "s.db") as server:
             with DualityClient(*server.address) as client:
                 client.solve(*pair)
                 client.solve(*pair)  # cache hit

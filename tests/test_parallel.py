@@ -46,6 +46,7 @@ from repro.parallel import (
     solve_many,
     solve_shards,
 )
+from repro.store import VerdictStore
 
 from tests.conftest import nonempty_simple_hypergraphs
 
@@ -499,13 +500,17 @@ class TestSolveMany:
 
     def test_cache_json_round_trip(self, tmp_path):
         pairs = self._pairs()
-        cache = ResultCache()
-        originals = solve_many(pairs, method="fk-b", cache=cache)
-        path = tmp_path / "cache.json"
-        saved = cache.save(path)
-        assert saved == len(pairs)
-        reloaded = ResultCache.load(path)
+        path = tmp_path / "verdicts.db"
+        store = VerdictStore(path)
+        originals = solve_many(
+            pairs, method="fk-b", cache=ResultCache(backend=store)
+        )
+        store.close()
+        store = VerdictStore(path)
+        assert len(store) == len(pairs)
+        reloaded = ResultCache(backend=store)
         replayed = solve_many(pairs, method="fk-b", cache=reloaded)
+        store.close()
         assert reloaded.hits == len(pairs)
         for original, replay in zip(originals, replayed):
             assert replay.cached

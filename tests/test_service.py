@@ -48,6 +48,7 @@ from repro.parallel import (
     solve_many,
 )
 from repro.service import EnginePool, EngineService, PoolClosedError, response_to_json
+from repro.store import VerdictStore
 
 
 def _double(x):
@@ -344,14 +345,14 @@ class TestEngineService:
         assert cache.hits == len(self._instances())
 
     def test_cache_hits_across_two_service_sessions(self, tmp_path):
-        cache_path = tmp_path / "service-cache.json"
-        with EngineService(method="fk-b", cache=cache_path) as first:
+        store_path = tmp_path / "service-store.db"
+        with EngineService(method="fk-b", store=store_path) as first:
             for pair in self._instances():
                 first.submit(pair)
             originals = first.drain()
-        assert cache_path.exists()
+        assert store_path.exists()
 
-        with EngineService(method="fk-b", cache=cache_path) as second:
+        with EngineService(method="fk-b", store=store_path) as second:
             for pair in self._instances():
                 second.submit(pair)
             replayed = second.drain()
@@ -741,15 +742,21 @@ class TestCodec:
         # the old JSON persistence silently dropped.
         g, h = disjoint_union_pair(matching_dual_pair(2), matching_dual_pair(1))
         broken = perturb_drop_edge(h)
-        cache = ResultCache()
-        (original,) = solve_many([(g, broken)], method="bm", cache=cache)
+        path = tmp_path / "verdicts.db"
+        store = VerdictStore(path)
+        (original,) = solve_many(
+            [(g, broken)], method="bm", cache=ResultCache(backend=store)
+        )
+        store.close()
         assert not original.is_dual
         assert any(isinstance(v, tuple) for v in original.result.witness)
 
-        path = tmp_path / "cache.json"
-        assert cache.save(path) == 1  # persisted, not dropped
-        reloaded = ResultCache.load(path)
-        (replayed,) = solve_many([(g, broken)], method="bm", cache=reloaded)
+        store = VerdictStore(path)
+        assert len(store) == 1  # persisted, not dropped
+        (replayed,) = solve_many(
+            [(g, broken)], method="bm", cache=ResultCache(backend=store)
+        )
+        store.close()
         assert replayed.cached
         assert replayed.result.certificate == original.result.certificate
         assert replayed.result.witness == original.result.witness
@@ -778,8 +785,12 @@ class TestCodec:
             ),
             encoding="utf-8",
         )
-        cache = ResultCache.load(path)
-        assert len(cache) == 0  # dropped, not mis-decoded
+        store = VerdictStore(path)  # auto-imports the legacy file
+        assert store.imported == 0 and len(store) == 0  # dropped
+        cache = ResultCache(backend=store)
+        assert cache.get("deadbeef") is None  # a miss, not an error
+        assert cache.misses == 1
+        store.close()
 
 
 class TestLoopCallbacks:

@@ -14,9 +14,9 @@ The contracts:
 * **migration** — a legacy ``cache.json`` at the store path is
   imported automatically, every codec vertex type surviving exactly.
 
-Plus regression tests for the two PR-8 satellite bugfixes: the
-``solve_many`` timing-log file-handle leak and the ``ResultCache``
-dirty-count inflation on eviction/overwrite.
+Plus regression tests for the ``solve_many`` timing-log file-handle
+leak, for legacy entries that do not decode (skipped on import, so
+they answer as misses), and for the service's cache counters.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from repro.hypergraph.generators import (
 from repro.net import DualityServer
 from repro.obs.timings import TimingLog
 from repro.parallel import ResultCache, solve_many
-from repro.parallel.batch import result_to_json
 from repro.service import EngineService
-from repro.store import VerdictStore
+from repro.store import VerdictStore, result_to_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -189,8 +188,6 @@ class TestCacheBackend:
         other = VerdictStore(path)
         assert other.get(key).certificate == result.certificate
         other.close()
-        # With a backend the whole-file save machinery must never fire.
-        assert cache.new_since_save == 0
         store.close()
 
     def test_memory_miss_falls_through_and_promotes(self, tmp_path):
@@ -225,51 +222,6 @@ class TestCacheBackend:
 # ---------------------------------------------------------------------------
 # Satellite bugfix regressions
 # ---------------------------------------------------------------------------
-
-class TestDirtyCountRegression:
-    """`new_since_save` must never exceed what a save would write."""
-
-    def test_eviction_of_never_saved_entry_deflates_the_count(self):
-        cache = ResultCache(max_entries=2)
-        _key, _digest, result = _solved()
-        for n in range(3):
-            cache.put(f"key-{n}", result)
-        # key-0 was evicted before any save: a save writes 2 entries.
-        assert len(cache) == 2
-        assert cache.new_since_save == 2
-
-    def test_overwrite_does_not_inflate_the_count(self):
-        cache = ResultCache()
-        _key, _digest, result = _solved()
-        cache.put("key", result)
-        cache.put("key", result)
-        assert cache.new_since_save == 1
-
-    def test_overwrite_after_save_stays_clean(self, tmp_path):
-        cache = ResultCache()
-        _key, _digest, result = _solved()
-        cache.put("key", result)
-        cache.save(tmp_path / "cache.json")
-        assert cache.new_since_save == 0
-        cache.put("key", result)  # the file already holds this verdict
-        assert cache.new_since_save == 0
-
-    def test_churning_bounded_cache_stops_triggering_autosaves(self, tmp_path):
-        """The original bug: evictions left the counter inflated, so a
-        full bounded cache re-saved an unchanged file forever."""
-        cache = ResultCache(max_entries=2)
-        _key, _digest, result = _solved()
-        for n in range(10):
-            cache.put(f"key-{n}", result)
-        path = tmp_path / "cache.json"
-        assert cache.save(path) == 2
-        assert cache.new_since_save == 0
-        before = path.stat().st_mtime_ns
-        # A service autosave loop persists only when new_since_save > 0.
-        if cache.new_since_save:
-            cache.save(path)
-        assert path.stat().st_mtime_ns == before
-
 
 class TestSolveManyTimingsOwnership:
     """`solve_many(timings=path)` must close the log it opened."""
@@ -447,7 +399,6 @@ class TestLegacyImport:
     ]
 
     def _legacy_cache(self, path: Path) -> dict[str, DualityResult]:
-        cache = ResultCache()
         results = {}
         for n, value in enumerate(self.VERTEX_VALUES):
             result = DualityResult(
@@ -461,10 +412,11 @@ class TestLegacyImport:
                 stats=DecisionStats(),
                 method="fk-b",
             )
-            key = f"legacy-{n:03d}"
-            cache.put(key, result)
-            results[key] = result
-        assert cache.save(path) == len(self.VERTEX_VALUES)
+            results[f"legacy-{n:03d}"] = result
+        path.write_text(
+            json.dumps({k: result_to_json(r) for k, r in results.items()}),
+            encoding="utf-8",
+        )
         return results
 
     def test_auto_import_round_trips_every_codec_vertex_type(self, tmp_path):
@@ -502,6 +454,51 @@ class TestLegacyImport:
         status = main(["store", "stats", str(db)])
         stats = json.loads(capsys.readouterr().out)
         assert status == 0 and stats["entries"] == len(results)
+
+    def _legacy_with_stale_entries(self, path: Path) -> tuple[str, DualityResult]:
+        """A legacy file holding one good entry beside entries that
+        cannot decode: a pre-codec witness, an unknown kind, a missing
+        method.  Returns the good entry's key and result."""
+        key, _digest, result = _solved(hard_nondual_pair(3))
+        good = result_to_json(result)
+        stale = {
+            "pre-codec": {**good, "witness": [1, 2]},  # untagged witness
+            "bad-kind": {**good, "kind": "NO_SUCH_KIND"},
+            "no-method": {k: v for k, v in good.items() if k != "method"},
+        }
+        path.write_text(json.dumps({key: good, **stale}), encoding="utf-8")
+        return key, result
+
+    def _assert_stale_entries_miss(self, store: VerdictStore, key, result):
+        assert len(store) == 1
+        assert store.get(key).certificate == result.certificate
+        cache = ResultCache(backend=store)
+        for stale in ("pre-codec", "bad-kind", "no-method"):
+            assert cache.get(stale) is None  # a miss, never CodecError
+        assert cache.misses == 3
+
+    def test_auto_import_skips_entries_that_do_not_decode(self, tmp_path):
+        path = tmp_path / "cache.json"
+        key, result = self._legacy_with_stale_entries(path)
+        store = VerdictStore(path)
+        assert store.imported == 1  # only the rows actually imported
+        self._assert_stale_entries_miss(store, key, result)
+        store.close()
+
+    def test_cli_import_skips_entries_that_do_not_decode(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        legacy = tmp_path / "old-cache.json"
+        key, result = self._legacy_with_stale_entries(legacy)
+        db = tmp_path / "store.db"
+        assert main(["store", "import", str(db), str(legacy)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"imported": 1, "entries": 1}
+        store = VerdictStore(db)
+        self._assert_stale_entries_miss(store, key, result)
+        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +593,32 @@ class TestServiceStoreMode:
 
     def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
-            EngineService(
-                store=tmp_path / "s.db", cache=tmp_path / "c.json"
-            )
-        with pytest.raises(ValueError, match="not both"):
-            DualityServer(store=tmp_path / "s.db", cache=tmp_path / "c.json")
+            EngineService(store=tmp_path / "s.db", cache=ResultCache())
+        # The server caches exactly when it has a store: no cache= at all.
+        with pytest.raises(TypeError):
+            DualityServer(store=tmp_path / "s.db", cache=ResultCache())
+
+    def test_cache_path_is_refused_with_a_pointer_to_store(self, tmp_path):
+        for path in (tmp_path / "c.json", str(tmp_path / "c.json")):
+            with pytest.raises(TypeError, match="store="):
+                EngineService(method="fk-b", cache=path)
+        assert not (tmp_path / "c.json").exists()
+
+    def test_stats_report_cache_evictions(self, tmp_path):
+        with EngineService(
+            method="fk-b", store=tmp_path / "s.db", cache_max_entries=1
+        ) as service:
+            assert service.stats()["cache_evictions"] == 0
+            service.solve(*matching_dual_pair(2))
+            service.solve(*matching_dual_pair(3))  # evicts the first
+            stats = service.stats()
+        assert service.cache.evictions == 1
+        assert stats["cache_evictions"] == 1
+        assert stats["cache_entries"] == 1
 
     def test_portfolio_refuses_a_store(self, tmp_path):
         with pytest.raises(ValueError, match="portfolio"):
             EngineService(method="portfolio", store=tmp_path / "s.db")
-
-    def test_persist_is_a_noop_in_store_mode(self, tmp_path):
-        with EngineService(method="fk-b", store=tmp_path / "s.db") as service:
-            service.solve(*matching_dual_pair(2))
-            assert service.cache.new_since_save == 0
-            assert service.persist() == 0  # nothing for the old path to do
 
 
 class TestClientSideStore:
