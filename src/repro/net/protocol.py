@@ -91,6 +91,7 @@ import json
 import math
 import socket
 
+from repro.errors import VertexError
 from repro.hypergraph import Hypergraph
 from repro.parallel.codec import decode_vertex_set, encode_vertex_set
 
@@ -146,9 +147,16 @@ def decode_hypergraph(payload) -> Hypergraph:
     try:
         edges = [decode_vertex_set(edge) for edge in payload["edges"]]
         vertices = decode_vertex_set(payload.get("vertices"))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Hypergraph(edges, vertices=vertices)
+    except (
+        KeyError,
+        TypeError,
+        ValueError,
+        OverflowError,
+        RecursionError,
+        VertexError,
+    ) as exc:
         raise ProtocolError(f"malformed hypergraph payload: {exc}") from exc
-    return Hypergraph(edges, vertices=vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +187,7 @@ def parse_request(line: bytes) -> dict:
     """Decode one request line into its dict; raises :class:`ProtocolError`."""
     try:
         request = _REQUEST_DECODER.decode(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"request line is not valid JSON: {exc}") from exc
     if not isinstance(request, dict):
         raise ProtocolError(
@@ -202,7 +210,7 @@ def parse_response(line: bytes) -> dict:
     """
     try:
         response = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"malformed response line: {exc}") from exc
     if not isinstance(response, dict):
         raise ProtocolError(f"response is not an object: {response!r}")

@@ -16,8 +16,13 @@ flush and fundamentally single-process — with two cooperating layers:
   of record.  WAL gives multi-process readers plus a single writer for
   free, so N server processes can share one store file; the journal is
   replayed into it (idempotently — ``INSERT OR REPLACE`` keyed on
-  ``instance_key``) at open and on :meth:`compact`, after which the
-  journal is truncated.
+  ``instance_key``) at open, on :meth:`compact` (explicit or at
+  ``auto_compact_bytes``) and at :meth:`close`, after which the journal
+  is truncated.  A lookup, hit or miss, is one indexed ``SELECT`` that
+  never reads the journal: every live writer inserts its row after the
+  fsync and before the verdict resolves.  Only a writer that died
+  between the two leaves a line with no row; that verdict was never
+  acknowledged, so it is a miss until the next open or compaction.
 
 Verdicts are keyed by :func:`~repro.hypergraph.instance_key` — the
 labelled, engine-bound key that the answer path *must* use, because
@@ -402,13 +407,9 @@ class VerdictStore:
         return result_from_json(entry)
 
     def get_entry(self, key: str) -> dict | None:
-        """The raw JSON entry for ``key`` (no hit/miss accounting)."""
+        """The raw JSON entry for ``key`` (no hit/miss accounting): one
+        indexed ``SELECT``, never a journal read (see the module doc)."""
         row = self._select(key)
-        if row is None and self._replay_journal():
-            # A crashed writer may have journal lines nobody folded in
-            # yet; replay is idempotent and cheap when the journal is
-            # empty (the steady state — live writers insert directly).
-            row = self._select(key)
         if row is None:
             return None
         return self._row_to_entry(row)
@@ -468,26 +469,17 @@ class VerdictStore:
     # Journal replay and compaction
     # ------------------------------------------------------------------
 
-    def _replay_journal(self, locked: bool = False) -> int:
+    def _replay_journal(self) -> int:
         """Fold every complete journal line into the database.
 
-        Idempotent (``INSERT OR REPLACE``); malformed complete lines
-        are skipped with one warning, a partial trailing line (a
-        ``kill -9`` mid-append) is silently ignored — that verdict was
-        never acknowledged to anyone.  ``locked=True`` means the caller
-        already holds the journal's exclusive ``flock`` (compaction) —
-        taking the shared lock here would self-deadlock: ``flock`` is
-        per open file description, and this read uses a fresh one.
+        Only :meth:`compact` calls this, holding the journal's
+        exclusive ``flock``.  Idempotent (``INSERT OR REPLACE``);
+        malformed complete lines are skipped with one warning, a
+        partial trailing line (a ``kill -9`` mid-append) is silently
+        ignored — that verdict was never acknowledged to anyone.
         """
         try:
-            with open(self.journal_path, "rb") as fh:
-                if not locked:
-                    _flock(fh.fileno(), fcntl.LOCK_SH if fcntl else 0)
-                try:
-                    data = fh.read()
-                finally:
-                    if not locked:
-                        _flock(fh.fileno(), fcntl.LOCK_UN if fcntl else 0)
+            data = Path(self.journal_path).read_bytes()
         except OSError:
             return 0
         if not data:
@@ -538,7 +530,7 @@ class VerdictStore:
             fd = self._journal()
             _flock(fd, fcntl.LOCK_EX if fcntl else 0)
             try:
-                replayed = self._replay_journal(locked=True)
+                replayed = self._replay_journal()
                 try:
                     busy = self._conn.execute(
                         "PRAGMA wal_checkpoint(FULL)"

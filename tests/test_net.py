@@ -30,6 +30,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.duality import decide_duality
 from repro.hypergraph import Hypergraph
@@ -53,7 +55,7 @@ from repro.net import (
     encode_hypergraph,
     parse_address,
 )
-from repro.net.protocol import parse_request
+from repro.net.protocol import parse_request, parse_response
 from repro.parallel import ResultCache, solve_many
 from repro.parallel.batch import load_instance
 from repro.parallel.codec import decode_vertex_set
@@ -128,6 +130,13 @@ class TestProtocol:
             parse_request(b"[1, 2, 3]")
         with pytest.raises(ProtocolError, match="unknown op"):
             parse_request(b'{"op": "explode"}')
+        # Nested past the JSON decoder's recursion limit.
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            parse_request(b"[" * 100000 + b"]" * 100000)
+
+    def test_parse_response_rejects_deep_nesting(self):
+        with pytest.raises(ProtocolError, match="malformed response"):
+            parse_response(b"[" * 100000 + b"]" * 100000)
 
     @pytest.mark.parametrize(
         "line",
@@ -151,6 +160,20 @@ class TestProtocol:
             decode_hypergraph([1, 2])
         with pytest.raises(ProtocolError, match="malformed hypergraph"):
             decode_hypergraph({"edges": [["?", 0]]})
+        # A null edge and an edge outside the declared universe fail in
+        # the Hypergraph constructor, not in the codec.
+        with pytest.raises(ProtocolError, match="malformed hypergraph"):
+            decode_hypergraph({"edges": [None]})
+        with pytest.raises(ProtocolError, match="outside the declared"):
+            decode_hypergraph(
+                {"edges": [[["i", 5]]], "vertices": [["i", 1]]}
+            )
+        # Tuple labels nested past the interpreter's recursion limit.
+        label = ["i", 1]
+        for _ in range(2000):
+            label = ["t", [label]]
+        with pytest.raises(ProtocolError, match="malformed hypergraph"):
+            decode_hypergraph({"edges": [[label]]})
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7171") == ("127.0.0.1", 7171)
@@ -158,6 +181,45 @@ class TestProtocol:
         for bad in ("nohost", "host:", "host:port", ""):
             with pytest.raises(ValueError, match="HOST:PORT"):
                 parse_address(bad)
+
+
+#: Arbitrary JSON values: what a request line or a payload field can hold.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=25,
+)
+
+
+class TestProtocolProperties:
+    """Every JSON value either decodes or raises :class:`ProtocolError`:
+    nothing else may reach the server's per-line error handling."""
+
+    @given(JSON_VALUES.map(json.dumps))
+    @example("[" * 100000 + "]" * 100000)  # past the decoder's recursion
+    @settings(max_examples=300, deadline=None)
+    def test_parse_request_returns_a_dict_or_raises_protocol_error(self, line):
+        try:
+            request = parse_request(line.encode("utf-8"))
+        except ProtocolError:
+            return
+        assert isinstance(request, dict)
+
+    @given(JSON_VALUES | st.fixed_dictionaries({"edges": JSON_VALUES}))
+    @example({"edges": [None]})
+    @example({"edges": [[["i", 5]]], "vertices": [["i", 1]]})
+    @example({"edges": [[["F", 10**400]]]})
+    @settings(max_examples=300, deadline=None)
+    def test_decode_hypergraph_returns_a_hypergraph_or_raises(self, value):
+        try:
+            hg = decode_hypergraph(value)
+        except ProtocolError:
+            return
+        assert isinstance(hg, Hypergraph)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +433,35 @@ class TestServerFaultIsolation:
                     assert error["id"] is None
                     assert error["error"]["type"] == "ProtocolError"
                 assert client.ping()
+
+    def test_deeply_nested_line_answers_one_error_line(self):
+        # 200 KB, far under the line ceiling, but nested past the JSON
+        # decoder's recursion limit.
+        nested = b"[" * 100000 + b"]" * 100000 + b"\n"
+        with DualityServer() as server:
+            with DualityClient(*server.address) as client:
+                client._sock.sendall(nested)
+                error = json.loads(client._reader.readline())
+                assert error["ok"] is False
+                assert error["id"] is None
+                assert error["error"]["type"] == "ProtocolError"
+                # Exactly one line: the next answer is the ping's.
+                assert client.ping()
+
+    def test_ill_formed_hypergraph_answers_protocol_error(self):
+        bad_payloads = (
+            {"edges": [None]},
+            {"edges": [[["i", 5]]], "vertices": [["i", 1]]},
+        )
+        with DualityServer() as server:
+            with DualityClient(*server.address) as client:
+                for bad in bad_payloads:
+                    response = client.request(
+                        {"op": "solve", "g": bad, "h": {"edges": []}}
+                    )
+                    assert response["ok"] is False
+                    assert response["error"]["type"] == "ProtocolError"
+                assert client.solve(*matching_dual_pair(2))["dual"] is True
 
     def test_oversized_line_is_refused_and_the_connection_closed(self):
         with DualityServer(max_line_bytes=256) as server:

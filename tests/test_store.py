@@ -173,6 +173,64 @@ class TestVerdictStore:
 
 
 # ---------------------------------------------------------------------------
+# The read path: one indexed lookup, the journal untouched
+# ---------------------------------------------------------------------------
+
+def _no_replay(self):
+    raise AssertionError("the read path replayed the journal")
+
+
+class TestReadPath:
+    def test_miss_does_not_read_a_long_journal(self, tmp_path, monkeypatch):
+        store = VerdictStore(tmp_path / "store.db")
+        key, digest, result = _solved()
+        entry = result_to_json(result)
+        for n in range(1000):
+            store.put_entry(f"key-{n:04d}", entry, digest=digest)
+        assert store.journal_bytes() > 1000 * 100  # nothing compacted
+        with monkeypatch.context() as patch:
+            patch.setattr(VerdictStore, "_replay_journal", _no_replay)
+            assert store.get("absent") is None
+            assert store.get("key-0999") is not None
+        assert store.misses == 1 and store.hits == 1
+        store.close()
+
+    def test_crashed_writer_line_is_a_miss_until_compaction(self, tmp_path):
+        path = tmp_path / "store.db"
+        store = VerdictStore(path)
+        key, digest, result = _solved()
+        # A foreign writer that died after its fsync, before its insert:
+        # the line is on disk, the row is not, nobody got the answer.
+        line = {"key": key, "digest": digest, "entry": result_to_json(result)}
+        with open(str(path) + ".journal", "ab") as fh:
+            fh.write(json.dumps(line).encode("utf-8") + b"\n")
+        assert store.get(key) is None  # one recomputation, never wrong
+        assert store.compact() == 1
+        assert store.get(key).certificate == result.certificate
+        reopened = VerdictStore(path)
+        assert reopened.get(key).certificate == result.certificate
+        reopened.close()
+        store.close()
+
+    def test_live_stores_share_puts_without_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.db"
+        first, second = VerdictStore(path), VerdictStore(path)
+        k1, d1, r1 = _solved(matching_dual_pair(3))
+        k2, d2, r2 = _solved(hard_nondual_pair(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(VerdictStore, "_replay_journal", _no_replay)
+            first.put(k1, r1, digest=d1)
+            assert second.get(k1).certificate == r1.certificate
+            second.put(k2, r2, digest=d2)
+            assert first.get(k2).certificate == r2.certificate
+        assert first.journal_bytes() > 0  # both lines still unfolded
+        second.close()
+        first.close()
+
+
+# ---------------------------------------------------------------------------
 # ResultCache with a durable backend
 # ---------------------------------------------------------------------------
 
