@@ -5,17 +5,18 @@ edges is a tuple of ints.  Every kernel here is the mask-domain twin of a
 ``frozenset`` operation elsewhere in the library, with the *same*
 deterministic ordering guarantees:
 
-==============================  =====================================
+==============================  =========================================
 set domain                      mask domain
-==============================  =====================================
+==============================  =========================================
 ``u <= e``                      ``u & e == u``
 ``u & e`` (non-empty?)          ``u & e`` (non-zero?)
 ``len(e)``                      ``e.bit_count()``
-``sort_key(e)``                 :func:`mask_sort_key`
+``sort_key(e)``                 :func:`mask_sort_key`: popcount, then the
+                                LSB-first binary digits with 0↔1 swapped
 ``minimize_family``             :func:`minimalize_masks`
 ``is_antichain``                :func:`masks_are_antichain`
 ``transversal_hypergraph``      :func:`transversal_masks`
-==============================  =====================================
+==============================  =========================================
 
 The equivalence of the two orderings is exactly the :class:`VertexIndex`
 invariant: bit positions ascend with ``vertex_key``, so comparing sorted
@@ -71,14 +72,23 @@ def column_counts(masks: Collection[int], bits: int | None = None) -> dict[int, 
     }
 
 
-def mask_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
+#: ``str.translate`` table swapping the binary digits.
+_FLIP_DIGITS = str.maketrans("01", "10")
+
+
+def mask_sort_key(mask: int) -> tuple[int, str]:
     """The canonical edge order, in the mask domain.
 
-    ``(popcount, ascending bit positions)`` — identical to
-    :func:`repro._util.sort_key` on the decoded edge whenever all masks
-    come from one :class:`VertexIndex`.
+    ``(popcount, ascending bit positions)`` orders edges exactly as
+    :func:`repro._util.sort_key` orders the decoded edges whenever all
+    masks come from one :class:`VertexIndex`.  For equal popcounts that
+    order is decided by the lowest differing bit (the mask holding it
+    comes first), so the key compares the binary digits lowest bit first,
+    with 0 and 1 swapped: ``bin(m)[:1:-1]`` reversed, translated.  Two
+    distinct masks of equal popcount never give strings where one is a
+    prefix of the other, so no tuple of positions is built.
     """
-    return (mask.bit_count(), tuple(iter_positions(mask)))
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_DIGITS))
 
 
 def sorted_masks(masks: Iterable[int]) -> tuple[int, ...]:

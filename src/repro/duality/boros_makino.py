@@ -8,16 +8,29 @@ expansion step) — only count, intersect and compare its edges.
 :class:`MaskNodes` runs both on integer masks over one
 :class:`~repro.core.VertexIndex`: a scope is one ``int``, ``G^S`` the set
 ``{E & S}`` and ``H_S`` the ``H`` masks inside ``S``.  It is the node
-step of every tree engine — the tree builder here, the logspace ``next``
-of Section 4, the guess-and-check walk of Section 5, and the shard
-planner and runners — and scopes and witnesses become vertex sets only
-where they leave it, in :class:`~repro.duality.tree.NodeAttributes`.
+step of every tree engine — the deciders here and in Section 4, Lemma
+4.1's ``next``, the guess-and-check walk of Section 5, and the shard
+planner and runners.
+
+Deciding needs no tree.  Proposition 2.1(1) asks only whether every
+leaf is ``done``, and a node is determined by its scope, so
+:func:`walk_tree` runs one depth-first walk over scope masks, holding
+only a stack of ``(scope, label)`` pairs.  It counts what the deciders
+report (nodes, depth, branching, leaves, the first node at the deepest
+level, the first ``fail`` leaf) and decodes nothing but the fail leaf's
+witness.  :func:`decide_boros_makino`,
+:func:`repro.duality.logspace.decide_logspace` and the ``bm``/``ls``
+shard runners all run on it.  :func:`build_tree` materialises the
+whole tree, as :class:`~repro.duality.tree.TreeNode` objects, for the
+callers that look at its shape (``repro tree``, :func:`tree_for`).
 
 :func:`marksmall` and :func:`process_children` transcribe the same
 procedures line by line over ``frozenset`` instances built by
-:func:`~repro.hypergraph.operations.restriction_instance`.  They are the
-reference that ``use_bitset_kernels(False)`` selects, so the kernel
-always has an independent program to be compared against.
+:func:`~repro.hypergraph.operations.restriction_instance`, and
+:func:`_reference_expand` is their node step.  It is what
+``use_bitset_kernels(False)`` selects — in the same walker and the same
+tree builder — so the kernel always has an independent program to be
+compared against.
 
 Determinism.  The paper notes the tree is not unique because of free
 choices, and suggests fixing them; we follow its suggestions exactly:
@@ -44,6 +57,7 @@ symmetric) and records the swap.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import filterfalse
 
@@ -108,7 +122,7 @@ class MaskNodes:
     counts as the paper policy.
     """
 
-    __slots__ = ("index", "g_masks", "h_masks", "policy")
+    __slots__ = ("index", "g_masks", "h_masks", "policy", "universe")
 
     def __init__(
         self, g: Hypergraph, h: Hypergraph, policy: TieBreakPolicy = PAPER_POLICY
@@ -122,6 +136,8 @@ class MaskNodes:
             self.g_masks = tuple(self.index.encode(e) for e in g.edges)
             self.h_masks = tuple(self.index.encode(e) for e in h.edges)
         self.policy = PAPER_POLICY if policy == PAPER_POLICY else policy
+        #: The root's scope ``V(G) ∪ V(H)``; the index may be wider.
+        self.universe = self.index.encode(g.vertices | h.vertices)
 
     def decode(self, mask: int) -> frozenset:
         """The vertex set of a scope or witness mask."""
@@ -149,18 +165,18 @@ class MaskNodes:
         mark, witness = self._finalize(scope, *self.instance(scope))
         return (mark, witness) if mark is not Mark.NIL else (Mark.NIL, 0)
 
-    def expand(self, attrs: NodeAttributes) -> NodeAttributes | list[NodeAttributes]:
-        """:func:`expand` on this instance, decoding at the boundary."""
-        scope = self.index.encode(attrs.scope)
+    def step(self, scope: int) -> tuple[Mark, int | list[int]]:
+        """The node at ``scope``: ``(mark, t)`` if it is a leaf, else
+        ``(NIL, child scopes)`` in canonical order."""
         g_s, h_s = self.instance(scope)
         mark, witness = self._finalize(scope, g_s, h_s)
         if mark is not Mark.NIL:
-            return NodeAttributes(attrs.label, attrs.scope, mark, self.decode(witness))
-        children = self._children(scope, g_s, h_s, witness)
-        return [
-            NodeAttributes(attrs.child_label(i), self.decode(c), Mark.NIL, frozenset())
-            for i, c in enumerate(children, start=1)
-        ]
+            return mark, witness
+        return mark, self._children(scope, g_s, h_s, witness)
+
+    def expand(self, attrs: NodeAttributes) -> NodeAttributes | list[NodeAttributes]:
+        """:func:`node_step` on this instance, decoding at the boundary."""
+        return _as_attrs(attrs, *self.step(self.index.encode(attrs.scope)), self.decode)
 
     def _finalize(
         self, scope: int, g_s: set[int], h_s: list[int]
@@ -315,69 +331,50 @@ def process_children(
 
 
 def _reference_expand(
-    attrs: NodeAttributes,
+    scope: frozenset,
     g: Hypergraph,
     h: Hypergraph,
     policy: TieBreakPolicy = PAPER_POLICY,
-) -> NodeAttributes | list[NodeAttributes]:
-    """:func:`expand` on the ``frozenset`` procedures."""
-    _g_s, h_s = restriction_instance(g, h, attrs.scope)
+) -> tuple[Mark, frozenset | list[frozenset]]:
+    """:meth:`MaskNodes.step` on the ``frozenset`` procedures."""
+    attrs = NodeAttributes((), scope, Mark.NIL, frozenset())
+    _g_s, h_s = restriction_instance(g, h, scope)
     if len(h_s) <= 1:
-        return marksmall(attrs, g, h, policy)
+        leaf = marksmall(attrs, g, h, policy)
+        return leaf.mark, leaf.witness
     outcome = process_children(attrs, g, h, policy)
     if isinstance(outcome, NodeAttributes):
-        return outcome
+        return outcome.mark, outcome.witness
+    return Mark.NIL, outcome
+
+
+def _as_attrs(
+    attrs: NodeAttributes, mark: Mark, outcome, decode
+) -> NodeAttributes | list[NodeAttributes]:
+    """A node step's outcome at ``attrs`` as :func:`node_step` returns it."""
+    if mark is not Mark.NIL:
+        return NodeAttributes(attrs.label, attrs.scope, mark, decode(outcome))
     return [
-        NodeAttributes(attrs.child_label(i), child_scope, Mark.NIL, frozenset())
-        for i, child_scope in enumerate(outcome, start=1)
+        NodeAttributes(attrs.child_label(i), decode(child), Mark.NIL, frozenset())
+        for i, child in enumerate(outcome, start=1)
     ]
 
 
 def node_step(g: Hypergraph, h: Hypergraph, policy: TieBreakPolicy = PAPER_POLICY):
-    """:func:`expand` bound to one instance, for callers that expand many
-    of its nodes: :meth:`MaskNodes.expand`, or the ``frozenset``
-    reference under ``use_bitset_kernels(False)``."""
+    """One decomposition step on ``NodeAttributes``, bound to one
+    instance: mark a node, or produce its children.
+
+    :meth:`MaskNodes.expand`, or the ``frozenset`` procedures under
+    ``use_bitset_kernels(False)``.  The shard planner and
+    :func:`build_tree` expand nodes through it.
+    """
     if bitset_kernels_enabled():
         return MaskNodes(g, h, policy).expand
-    return partial(_reference_expand, g=g, h=h, policy=policy)
 
+    def reference(attrs: NodeAttributes) -> NodeAttributes | list[NodeAttributes]:
+        return _as_attrs(attrs, *_reference_expand(attrs.scope, g, h, policy), frozenset)
 
-def expand(
-    attrs: NodeAttributes,
-    g: Hypergraph,
-    h: Hypergraph,
-    policy: TieBreakPolicy = PAPER_POLICY,
-) -> NodeAttributes | list[NodeAttributes]:
-    """One decomposition step at a node: mark it, or produce its children.
-
-    This is the building block the logspace ``next`` procedure of
-    Section 4 wraps: everything it does is edge-counting, set
-    intersection and comparisons — logspace operations.  It runs on
-    :class:`MaskNodes` unless ``use_bitset_kernels(False)`` selects the
-    ``frozenset`` procedures.
-    """
-    return node_step(g, h, policy)(attrs)
-
-
-def grow_subtree(
-    attrs: NodeAttributes,
-    g: Hypergraph,
-    h: Hypergraph,
-    policy: TieBreakPolicy = PAPER_POLICY,
-) -> TreeNode:
-    """Materialise the subtree of ``T(G, H)`` rooted at the node ``attrs``."""
-    step = node_step(g, h, policy)
-    root = TreeNode(attrs)
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        outcome = step(node.attrs)
-        if isinstance(outcome, NodeAttributes):
-            node.attrs = outcome
-            continue
-        node.children = [TreeNode(child) for child in outcome]
-        frontier.extend(node.children)
-    return root
+    return reference
 
 
 def build_tree(
@@ -391,11 +388,112 @@ def build_tree(
     (``G ⊆ tr(H)``, ``H ⊆ tr(G)``, shared universe); use
     :func:`decide_boros_makino` for arbitrary simple inputs.  ``policy``
     resolves the free choices — any policy is correct (Prop. 2.1); only
-    tree size and witness identity vary (experiment E13).
+    tree size and witness identity vary (experiment E13).  Deciding
+    needs none of this: :func:`walk_tree` visits the same nodes.
     """
+    step = node_step(g, h, policy)
     universe = frozenset(g.vertices | h.vertices)
-    root_attrs = NodeAttributes((), universe, Mark.NIL, frozenset())
-    return DecompositionTree(g=g, h=h, root=grow_subtree(root_attrs, g, h, policy))
+    root = TreeNode(NodeAttributes((), universe, Mark.NIL, frozenset()))
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        outcome = step(node.attrs)
+        if isinstance(outcome, NodeAttributes):
+            node.attrs = outcome
+            continue
+        node.children = [TreeNode(child) for child in outcome]
+        frontier.extend(node.children)
+    return DecompositionTree(g=g, h=h, root=root)
+
+
+@dataclass
+class TreeWalk:
+    """What one walk over a subtree of ``T(G, H)`` reports.
+
+    Depths are absolute (a label is the full path from the original
+    root).  ``deepest`` is the first node in pre-order at ``max_depth``;
+    ``fail`` is the first ``fail`` leaf in pre-order — the lowest label,
+    since label order is pre-order — as ``(label, t(α))``, or ``None``.
+    """
+
+    nodes: int
+    max_depth: int
+    deepest: tuple[int, ...]
+    max_children: int
+    leaves: int
+    fail: tuple[tuple[int, ...], frozenset] | None
+
+
+def walk_tree(
+    g: Hypergraph,
+    h: Hypergraph,
+    policy: TieBreakPolicy = PAPER_POLICY,
+    label: tuple[int, ...] = (),
+    scope: int | None = None,
+) -> TreeWalk:
+    """Walk the subtree of ``T(G, H)`` at ``label`` depth-first, in label
+    order, without materialising it.
+
+    ``scope`` is the subtree root's scope as a mask over
+    ``MaskNodes(g, h).index`` (default: the whole tree's root).  Each
+    node is finalised or expanded by :meth:`MaskNodes.step`, or by
+    :func:`_reference_expand` under ``use_bitset_kernels(False)``; the
+    walk keeps only a stack of ``(scope, label)`` pairs — the pending
+    siblings along the current path — and decodes only the fail witness.
+    """
+    nodes = MaskNodes(g, h, policy)
+    if scope is None:
+        scope = nodes.universe
+    if bitset_kernels_enabled():
+        step, decode = nodes.step, nodes.decode
+    else:
+        step = partial(_reference_expand, g=g, h=h, policy=policy)
+        scope, decode = nodes.decode(scope), frozenset
+    count = leaves = max_children = 0
+    max_depth, deepest, fail = len(label), label, None
+    stack = [(scope, label)]
+    pop, push = stack.pop, stack.extend
+    nil, failed = Mark.NIL, Mark.FAIL
+    while stack:
+        scope, label = pop()
+        count += 1
+        if len(label) > max_depth:
+            max_depth, deepest = len(label), label
+        mark, outcome = step(scope)
+        if mark is nil and outcome:
+            kappa = len(outcome)
+            if kappa > max_children:
+                max_children = kappa
+            # Pushed last-first, so child 1 is visited next (pre-order).
+            push([(outcome[i - 1], label + (i,)) for i in range(kappa, 0, -1)])
+            continue
+        leaves += 1
+        if mark is failed and fail is None:
+            fail = (label, decode(outcome))
+    return TreeWalk(count, max_depth, deepest, max_children, leaves, fail)
+
+
+def tree_result(
+    method: str,
+    swapped: bool,
+    stats: DecisionStats,
+    fail: tuple[tuple[int, ...], frozenset] | None,
+) -> DualityResult:
+    """A tree decider's answer: dual iff there is no ``fail`` leaf, else
+    the first fail leaf ``(label, t(α))`` gives the witness and the
+    certificate path (``swapped`` names the witness direction)."""
+    if fail is None:
+        return dual_result(method, stats)
+    label, witness = fail
+    direction = "H wrt G" if swapped else "G wrt H"
+    return not_dual_result(
+        method,
+        FailureKind.MISSING_TRANSVERSAL,
+        witness=witness,
+        detail=f"fail leaf {label}: new transversal of {direction}",
+        path=label,
+        stats=stats,
+    )
 
 
 def decide_boros_makino(
@@ -404,17 +502,20 @@ def decide_boros_makino(
     enforce_size_order: bool = True,
     policy: TieBreakPolicy = PAPER_POLICY,
 ) -> DualityResult:
-    """Decide duality via the full Boros–Makino decomposition tree.
+    """Decide duality via the Boros–Makino decomposition tree.
 
     Pipeline: entry check (``prepare_instance``) → optional side swap to
-    restore the paper's ``|H| ≤ |G|`` assumption → build ``T(G, H)`` →
-    all leaves ``done`` ⟺ dual (Proposition 2.1(1)).
+    restore the paper's ``|H| ≤ |G|`` assumption → one :func:`walk_tree`
+    over the scope masks of ``T(G, H)`` (no tree is materialised) → all
+    leaves ``done`` ⟺ dual (Proposition 2.1(1)).
 
     On failure, the first ``fail`` leaf (in canonical label order)
     provides the witness ``t(α)`` — a new transversal of the tree's
     ``G``-side w.r.t. its ``H``-side; ``stats.extra["swapped"]`` records
     whether the sides were exchanged (the witness direction flips with
     it).  The fail leaf's label is reported as the certificate path.
+    The stats are the whole tree's: nodes, depth, largest branching and
+    leaves.
     """
     method = "boros-makino"
     entry = prepare_instance(g, h)
@@ -428,28 +529,16 @@ def decide_boros_makino(
     if swapped:
         g_v, h_v = h_v, g_v
 
-    tree = build_tree(g_v, h_v, policy)
+    walk = walk_tree(g_v, h_v, policy)
     stats = DecisionStats(
-        nodes=tree.node_count(),
-        max_depth=tree.depth(),
-        max_children=tree.max_branching(),
-        base_cases=sum(1 for _ in tree.leaves()),
+        nodes=walk.nodes,
+        max_depth=walk.max_depth,
+        max_children=walk.max_children,
+        base_cases=walk.leaves,
     )
     stats.extra["swapped"] = swapped
 
-    fails = tree.fail_leaves()
-    if not fails:
-        return dual_result(method, stats)
-    first_fail = min(fails, key=lambda n: n.attrs.label)
-    direction = "H wrt G" if swapped else "G wrt H"
-    return not_dual_result(
-        method,
-        FailureKind.MISSING_TRANSVERSAL,
-        witness=first_fail.attrs.witness,
-        detail=f"fail leaf {first_fail.attrs.label}: new transversal of {direction}",
-        path=first_fail.attrs.label,
-        stats=stats,
-    )
+    return tree_result(method, swapped, stats, walk.fail)
 
 
 def tree_for(

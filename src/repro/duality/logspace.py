@@ -29,6 +29,16 @@ finalises every child it emits: it applies ``marksmall`` when
 ``|H_{S_child}| ≥ 2`` (both logspace).  The root is finalised the same
 way.  This matches the tree builder exactly — the test suite checks
 ``pathnode(I, label(α)) = attr(α)`` for every node α of the built tree.
+
+Scopes as masks.  ``next`` runs on the instance's one
+:class:`~repro.duality.boros_makino.MaskNodes`: a node's scope is one
+mask over its index, the child scopes of a node are computed once and
+memoised as masks, and only the requested child is decoded back to a
+vertex set.  The Corollary 4.1 decider does not go through ``next``
+node by node: :func:`~repro.duality.boros_makino.walk_tree` visits the
+same nodes in the same order on the same node step, and only the
+deepest path is replayed through :func:`pathnode_metered` to read the
+model space.
 """
 
 from __future__ import annotations
@@ -43,13 +53,16 @@ from repro.hypergraph.operations import bitset_kernels_enabled
 from repro.machine.meter import RegisterFile, SpaceMeter
 from repro.machine.pipeline import self_composition
 from repro.machine.transducer import FunctionTransducer
-from repro.duality.boros_makino import MaskNodes, _reference_expand
+from repro.duality.boros_makino import (
+    MaskNodes,
+    _reference_expand,
+    tree_result,
+    walk_tree,
+)
 from repro.duality.conditions import prepare_instance
 from repro.duality.result import (
     DecisionStats,
     DualityResult,
-    FailureKind,
-    dual_result,
     not_dual_result,
 )
 from repro.duality.tree import Mark, NodeAttributes
@@ -99,11 +112,20 @@ def descriptor_bits(g: Hypergraph, h: Hypergraph) -> int:
 # Node finalisation and the next step (Lemma 4.1)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _mask_nodes(g: Hypergraph, h: Hypergraph) -> MaskNodes:
+    """The instance's one :class:`MaskNodes`: the index every scope mask
+    of ``next`` is taken over."""
+    return MaskNodes(g, h)
+
+
 @lru_cache(maxsize=65536)
 def _finalize_scope(
-    g: Hypergraph, h: Hypergraph, scope: frozenset, reference: bool
-) -> tuple[Mark, frozenset]:
-    """Scope-level finalisation: the ``(mark, t)`` a node at ``scope`` gets.
+    g: Hypergraph, h: Hypergraph, scope: int, reference: bool
+) -> tuple[Mark, int]:
+    """Scope-level finalisation: the ``(mark, t)`` a node at ``scope``
+    gets, as masks over ``_mask_nodes(g, h).index``; ``(NIL, 0)`` if the
+    node is interior.
 
     Everything ``marksmall`` and the step-2 check compute depends only
     on the scope (the instance is derived from it), so results are
@@ -114,22 +136,20 @@ def _finalize_scope(
     over the mask kernel — is part of the key, so neither path ever
     answers for the other.
     """
-    if reference:
-        probe = NodeAttributes((), scope, Mark.NIL, frozenset())
-        outcome = _reference_expand(probe, g, h)
-        if isinstance(outcome, NodeAttributes):
-            return outcome.mark, outcome.witness
-        return Mark.NIL, frozenset()
-    nodes = MaskNodes(g, h)
-    mark, witness = nodes.mark(nodes.index.encode(scope))
-    return mark, nodes.decode(witness)
+    nodes = _mask_nodes(g, h)
+    if not reference:
+        return nodes.mark(scope)
+    mark, witness = _reference_expand(nodes.decode(scope), g, h)
+    if mark is Mark.NIL:
+        return Mark.NIL, 0
+    return mark, nodes.index.encode(witness)
 
 
 @lru_cache(maxsize=65536)
 def _children_scopes(
-    g: Hypergraph, h: Hypergraph, scope: frozenset, reference: bool
-) -> tuple[frozenset, ...]:
-    """The ordered child scopes of an *interior* node at ``scope``.
+    g: Hypergraph, h: Hypergraph, scope: int, reference: bool
+) -> tuple[int, ...]:
+    """The ordered child scope masks of an *interior* node at ``scope``.
 
     ``process`` steps 3–5 depend only on the scope; cached so that
     enumerating children one index at a time (the ``next`` protocol)
@@ -137,38 +157,32 @@ def _children_scopes(
     scope has no children (callers check finalisation first, so this
     only guards misuse).  ``reference`` is as in :func:`_finalize_scope`.
     """
-    probe = NodeAttributes((), scope, Mark.NIL, frozenset())
-    if reference:
-        outcome = _reference_expand(probe, g, h)
-    else:
-        outcome = MaskNodes(g, h).expand(probe)
-    if isinstance(outcome, NodeAttributes):
-        return ()
-    return tuple(child.scope for child in outcome)
+    nodes = _mask_nodes(g, h)
+    if not reference:
+        mark, children = nodes.step(scope)
+        return tuple(children) if mark is Mark.NIL else ()
+    mark, children = _reference_expand(nodes.decode(scope), g, h)
+    return tuple(map(nodes.index.encode, children)) if mark is Mark.NIL else ()
 
 
-def finalize(attrs: NodeAttributes, g: Hypergraph, h: Hypergraph) -> NodeAttributes:
-    """Apply the marking rules that fire at a node's own expansion.
-
-    ``marksmall`` for ``|H_S| ≤ 1``; the ``process`` step-2
-    new-transversal check for ``|H_S| ≥ 2``; otherwise the node is
-    interior and keeps ``nil``.  The node step runs on
-    :class:`~repro.duality.boros_makino.MaskNodes` unless
-    ``use_bitset_kernels(False)`` selects the ``frozenset`` procedures.
-    """
-    if attrs.mark is not Mark.NIL:
-        return attrs
-    reference = not bitset_kernels_enabled()
-    mark, witness = _finalize_scope(g, h, attrs.scope, reference)
-    if mark is Mark.NIL:
-        return attrs
-    return NodeAttributes(attrs.label, attrs.scope, mark, witness)
+def _finalized(
+    nodes: MaskNodes,
+    label: tuple[int, ...],
+    scope: frozenset,
+    mask: int,
+    g: Hypergraph,
+    h: Hypergraph,
+) -> NodeAttributes:
+    """The finalised attributes of the node ``label`` at ``scope`` (``mask``)."""
+    mark, witness = _finalize_scope(g, h, mask, not bitset_kernels_enabled())
+    return NodeAttributes(label, scope, mark, nodes.decode(witness))
 
 
 def initial_attrs(g: Hypergraph, h: Hypergraph) -> NodeAttributes:
     """The finalised root attributes ``attr(α₀)`` (logspace-computable)."""
+    nodes = _mask_nodes(g, h)
     universe = frozenset(g.vertices | h.vertices)
-    return finalize(NodeAttributes((), universe, Mark.NIL, frozenset()), g, h)
+    return _finalized(nodes, (), universe, nodes.universe, g, h)
 
 
 def next_attrs(
@@ -180,19 +194,23 @@ def next_attrs(
     :data:`IMPOSSIBLE` (``None``) when ``α`` is a leaf or has fewer than
     ``i`` children.  Everything here is counting, set intersection and
     comparison over the read-only input — the operations Lemma 4.1
-    observes to be logspace.
+    observes to be logspace.  The child scopes are masks; only the
+    ``i``-th is decoded.
     """
     if index < 1:
         raise ValueError("child indices start at 1")
     if attrs.mark is not Mark.NIL:
         return IMPOSSIBLE
-    scopes = _children_scopes(g, h, attrs.scope, not bitset_kernels_enabled())
+    nodes = _mask_nodes(g, h)
+    scopes = _children_scopes(
+        g, h, nodes.index.encode(attrs.scope), not bitset_kernels_enabled()
+    )
     if index > len(scopes):
         return IMPOSSIBLE
-    raw = NodeAttributes(
-        attrs.child_label(index), scopes[index - 1], Mark.NIL, frozenset()
+    child = scopes[index - 1]
+    return _finalized(
+        nodes, attrs.child_label(index), nodes.decode(child), child, g, h
     )
-    return finalize(raw, g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +392,7 @@ def iter_tree_nodes(
 
     Space-faithful in spirit: holds the current path's attributes (depth
     ≤ ``⌊log |H|⌋``) instead of the whole tree.  Used by ``decompose``,
-    the Corollary 4.1 deciders and the guess-and-check walk.
+    :func:`find_new_transversal_logspace` and the guess-and-check walk.
     """
     root = initial_attrs(g, h)
     stack: list[tuple[NodeAttributes, int]] = [(root, 1)]
@@ -488,10 +506,14 @@ def model_space_bits(g: Hypergraph, h: Hypergraph) -> int:
 def decide_logspace(g: Hypergraph, h: Hypergraph) -> DualityResult:
     """Corollary 4.1(1): decide ``Dual`` in ``DSPACE[log² n]``.
 
-    Entry check, then scan the tree through ``next``/``pathnode`` only,
-    looking for a ``fail`` leaf.  ``stats.peak_space_bits`` reports the
-    metered model space at full depth (validated against the actual
-    metered run of the deepest path).
+    Entry check, then scan ``T(G, H)`` for a ``fail`` leaf with
+    :func:`~repro.duality.boros_makino.walk_tree`: one depth-first walk
+    over scope masks in label order, the visiting order of the ``next``
+    DFS (:func:`iter_tree_nodes`), with no tree materialised and no
+    node decoded.  ``stats.peak_space_bits`` is the peak of one metered
+    :func:`pathnode_metered` run on the deepest path — the first label
+    at the greatest depth — so it adds only that path's nodes to the
+    ``next`` memo.
     """
     method = "logspace"
     entry = prepare_instance(g, h)
@@ -504,35 +526,15 @@ def decide_logspace(g: Hypergraph, h: Hypergraph) -> DualityResult:
     if swapped:
         g_v, h_v = h_v, g_v
 
-    stats = DecisionStats()
+    walk = walk_tree(g_v, h_v)
+    stats = DecisionStats(nodes=walk.nodes, max_depth=walk.max_depth)
     stats.extra["swapped"] = swapped
-    deepest: PathDescriptor = ()
-    first_fail: NodeAttributes | None = None
-    for attrs in iter_tree_nodes(g_v, h_v):
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, attrs.depth)
-        if attrs.depth > len(deepest):
-            deepest = attrs.label
-        if attrs.mark is Mark.FAIL and (
-            first_fail is None or attrs.label < first_fail.label
-        ):
-            first_fail = attrs
 
     # Meter the deepest path under the Lemma 3.1 discipline.
-    _attrs, meter = pathnode_metered(g_v, h_v, deepest)
+    _attrs, meter = pathnode_metered(g_v, h_v, walk.deepest)
     stats.peak_space_bits = meter.peak_bits
 
-    if first_fail is None:
-        return dual_result(method, stats)
-    direction = "H wrt G" if swapped else "G wrt H"
-    return not_dual_result(
-        method,
-        FailureKind.MISSING_TRANSVERSAL,
-        witness=first_fail.witness,
-        detail=f"fail leaf {first_fail.label}: new transversal of {direction}",
-        path=first_fail.label,
-        stats=stats,
-    )
+    return tree_result(method, swapped, stats, walk.fail)
 
 
 def find_new_transversal_logspace(

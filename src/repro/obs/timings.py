@@ -120,7 +120,7 @@ def _deep_features(g_payload, h_payload) -> dict:
     try:
         from repro.duality.boros_makino import MaskNodes
         from repro.duality.conditions import prepare_instance
-        from repro.duality.tree import Mark, NodeAttributes
+        from repro.duality.tree import Mark
         from repro.hypergraph import from_mask_payload
 
         entry = prepare_instance(
@@ -131,14 +131,12 @@ def _deep_features(g_payload, h_payload) -> dict:
         g_v, h_v = entry.g, entry.h
         if len(h_v) > len(g_v):  # plan_bm's size-order swap
             g_v, h_v = h_v, g_v
-        universe = frozenset(g_v.vertices | h_v.vertices)
-        root = NodeAttributes((), universe, Mark.NIL, frozenset())
         nodes = MaskNodes(g_v, h_v)
-        outcome = nodes.expand(root)
-        if isinstance(outcome, NodeAttributes):
+        mark, children = nodes.step(nodes.universe)
+        if mark is not Mark.NIL:
             return zeros  # single-node tree: a root that is a leaf
-        volumes = [nodes.volume(nodes.index.encode(c.scope)) for c in outcome]
-        branches = len(outcome)
+        volumes = [nodes.volume(child) for child in children]
+        branches = len(children)
         max_volume = max(volumes)
         # Depth estimate: levels until the biggest child's volume is
         # divided down to 1, assuming the root's branching repeats.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Sequence
 
+from repro.duality.boros_makino import tree_result, walk_tree
 from repro.duality.fredman_khachiyan import (
     _assignment_to_result,
     _decide_m,
@@ -33,9 +34,7 @@ from repro.duality.fredman_khachiyan import (
 from repro.duality.result import (
     DecisionStats,
     DualityResult,
-    FailureKind,
     dual_result,
-    not_dual_result,
 )
 from repro.duality.tree import Mark, NodeAttributes
 from repro.hypergraph import Hypergraph, from_mask_payload
@@ -127,73 +126,36 @@ def _rebuild_instance(header: tuple) -> tuple[Hypergraph, Hypergraph]:
 
 
 def run_bm_shard(args: tuple) -> tuple:
-    """Build one Boros–Makino subtree and report its aggregates.
+    """Walk one Boros–Makino subtree and report its aggregates.
 
     Returns ``(nodes, max_depth, max_branching, n_leaves, fails)`` with
-    ``fails`` a list of ``(label, witness)`` pairs.  Depths are absolute
-    (labels carry the full path from the original root).
+    ``fails`` the subtree's first ``fail`` leaf as a one-item list of
+    ``(label, witness)`` (empty if it has none) — the only one the merge
+    can pick, since every other fail leaf of the subtree has a higher
+    label.  Depths are absolute (labels carry the full path from the
+    original root).
     """
     header, label, scope_mask = args
-    from repro.duality.boros_makino import grow_subtree
-
     g, h = _rebuild_instance(header)
-    scope = g.bits().index.decode(scope_mask)
-    attrs = NodeAttributes(tuple(label), scope, Mark.NIL, frozenset())
-    root = grow_subtree(attrs, g, h, header[3])
-
-    nodes = 0
-    max_depth = 0
-    max_branching = 0
-    n_leaves = 0
-    fails: list[tuple[tuple[int, ...], frozenset]] = []
-    for node in root.walk():
-        nodes += 1
-        max_depth = max(max_depth, node.attrs.depth)
-        max_branching = max(max_branching, len(node.children))
-        if not node.children:
-            n_leaves += 1
-            if node.attrs.mark is Mark.FAIL:
-                fails.append((node.attrs.label, node.attrs.witness))
-    return nodes, max_depth, max_branching, n_leaves, fails
+    walk = walk_tree(g, h, header[3], tuple(label), scope_mask)
+    fails = [walk.fail] if walk.fail is not None else []
+    return walk.nodes, walk.max_depth, walk.max_children, walk.leaves, fails
 
 
 def run_ls_shard(args: tuple) -> tuple:
-    """Continue the logspace DFS from one interior child of the root.
+    """Continue the logspace DFS from one interior node of the tree.
 
     Returns ``(nodes, max_depth, first_max_label, fail)`` where
     ``first_max_label`` is the first node *in DFS order* attaining the
     subtree's maximum depth (the quantity the serial decider's
     ``deepest`` tracker ends on) and ``fail`` is the minimum-label
-    ``fail`` leaf as ``(label, witness)``, or ``None``.
+    ``fail`` leaf as ``(label, witness)``, or ``None``.  The walk is the
+    serial decider's own (:func:`repro.duality.boros_makino.walk_tree`).
     """
     header, label, scope_mask = args
-    from repro.duality.logspace import next_attrs
-
     g, h = _rebuild_instance(header)
-    index = g.bits().index
-    scope = index.decode(scope_mask)
-    attrs = NodeAttributes(tuple(label), scope, Mark.NIL, frozenset())
-
-    nodes = 1
-    max_depth = attrs.depth
-    first_max_label = attrs.label
-    fail: tuple[tuple[int, ...], frozenset] | None = None
-    stack: list[tuple[NodeAttributes, int]] = [(attrs, 1)]
-    while stack:
-        parent, index_ = stack.pop()
-        child = next_attrs(g, h, parent, index_)
-        if child is None:
-            continue
-        stack.append((parent, index_ + 1))
-        nodes += 1
-        if child.depth > max_depth:
-            max_depth = child.depth
-            first_max_label = child.label
-        if child.mark is Mark.FAIL and (fail is None or child.label < fail[0]):
-            fail = (child.label, child.witness)
-        if child.mark is Mark.NIL:
-            stack.append((child, 1))
-    return nodes, max_depth, first_max_label, fail
+    walk = walk_tree(g, h, label=tuple(label), scope=scope_mask)
+    return walk.nodes, walk.max_depth, walk.deepest, walk.fail
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +271,8 @@ def _merge_bm(plan: ShardPlan, outcomes: Sequence[tuple]) -> DualityResult:
         fails.extend(shard_fails)
     stats.extra["swapped"] = plan.swapped
     stats.extra["n_shards"] = len(plan.shards)
-    if not fails:
-        return dual_result(plan.method, stats)
-    label, witness = min(fails, key=lambda item: item[0])
-    direction = "H wrt G" if plan.swapped else "G wrt H"
-    return not_dual_result(
-        plan.method,
-        FailureKind.MISSING_TRANSVERSAL,
-        witness=witness,
-        detail=f"fail leaf {label}: new transversal of {direction}",
-        path=label,
-        stats=stats,
-    )
+    first_fail = min(fails, key=lambda item: item[0]) if fails else None
+    return tree_result(plan.method, plan.swapped, stats, first_fail)
 
 
 def _merge_logspace(plan: ShardPlan, outcomes: Sequence[tuple]) -> DualityResult:
@@ -372,18 +324,7 @@ def _merge_logspace(plan: ShardPlan, outcomes: Sequence[tuple]) -> DualityResult
     _attrs, meter = pathnode_metered(plan.g, plan.h, deepest)
     stats.peak_space_bits = meter.peak_bits
 
-    if first_fail is None:
-        return dual_result(plan.method, stats)
-    label, witness = first_fail
-    direction = "H wrt G" if plan.swapped else "G wrt H"
-    return not_dual_result(
-        plan.method,
-        FailureKind.MISSING_TRANSVERSAL,
-        witness=witness,
-        detail=f"fail leaf {label}: new transversal of {direction}",
-        path=label,
-        stats=stats,
-    )
+    return tree_result(plan.method, plan.swapped, stats, first_fail)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Three shard shapes, one per engine family:
   merged failing assignment equals the serial one exactly.
 
 * **BM tree children** (``bm``) — the planner expands the decomposition
-  tree's root with :func:`repro.duality.boros_makino.expand`; each child
-  scope becomes a shard whose worker builds that subtree.
+  tree's root with :func:`repro.duality.boros_makino.node_step`; each child
+  scope becomes a shard whose worker walks that subtree.
 
 * **Logspace projections** (``logspace``) — the planner resolves the
   root and its children with Section 4's ``next`` procedure; each
@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core import VertexIndex
-from repro.duality.boros_makino import MaskNodes, node_step
+from repro.duality.boros_makino import MaskNodes, node_step, tree_result
 from repro.duality.conditions import prepare_instance
 from repro.duality.fredman_khachiyan import _base_case_m, fk_branches
 from repro.duality.logspace import initial_attrs, next_attrs
@@ -289,7 +289,7 @@ def plan_bm(
     estimate bit-for-bit.  Results are identical under any cost
     function — only shard balance changes.
     """
-    from repro.duality.result import FailureKind, dual_result, not_dual_result
+    from repro.duality.result import not_dual_result
 
     method = "boros-makino"
     entry = prepare_instance(g, h)
@@ -316,20 +316,8 @@ def plan_bm(
         # Single-node tree: resolve exactly as the serial decider would.
         stats = DecisionStats(nodes=1, max_depth=0, max_children=0, base_cases=1)
         stats.extra["swapped"] = swapped
-        if outcome.mark is Mark.DONE:
-            resolved = dual_result(method, stats)
-        else:
-            direction = "H wrt G" if swapped else "G wrt H"
-            resolved = not_dual_result(
-                method,
-                FailureKind.MISSING_TRANSVERSAL,
-                witness=outcome.witness,
-                detail=(
-                    f"fail leaf {outcome.label}: new transversal of {direction}"
-                ),
-                path=outcome.label,
-                stats=stats,
-            )
+        fail = (outcome.label, outcome.witness) if outcome.mark is Mark.FAIL else None
+        resolved = tree_result(method, swapped, stats, fail)
         return ShardPlan(method=method, header=(), resolved=resolved)
 
     # Recursive frontier expansion: plan-state updated by the callback,

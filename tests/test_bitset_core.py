@@ -111,6 +111,57 @@ class TestVertexIndex:
             assert by_mask == by_key
 
 
+@st.composite
+def mask_families(draw):
+    """A universe width in 0–200 and a family of masks over it (the empty
+    mask and duplicates included)."""
+    width = draw(st.integers(min_value=0, max_value=200))
+    mask = st.one_of(st.just(0), st.integers(min_value=0, max_value=(1 << width) - 1))
+    return width, draw(st.lists(mask, max_size=25))
+
+
+def _positions_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The definitional canonical key: popcount, then ascending positions."""
+    return (mask.bit_count(), tuple(p for p in range(mask.bit_length()) if mask >> p & 1))
+
+
+class TestMaskSortKey:
+    """``mask_sort_key`` orders masks exactly as ``sort_key`` orders the
+    decoded edges, and as the popcount-then-positions key it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_families())
+    @example((0, [0]))
+    @example((0, []))
+    @example((3, [0b011, 0b101, 0b110, 0, 0b111, 0b001]))
+    @example((200, [1 << 199, 1, (1 << 200) - 1, 0, (1 << 199) | 1]))
+    def test_sorted_and_min_follow_sort_key_on_decoded_edges(self, family):
+        from repro._util import sort_key
+
+        width, masks = family
+        index = VertexIndex(range(width))
+        edges = [index.decode(m) for m in masks]
+        by_mask = [index.decode(m) for m in sorted(masks, key=mask_sort_key)]
+        assert by_mask == sorted(edges, key=sort_key)
+        assert sorted(masks, key=mask_sort_key) == sorted(masks, key=_positions_key)
+        if masks:
+            assert index.decode(min(masks, key=mask_sort_key)) == min(
+                edges, key=sort_key
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask_families())
+    @example((0, [0]))
+    @example((4, [0b0011, 0b0111, 0b1000, 0b0110, 0]))
+    def test_maximalize_masks_is_unchanged(self, family):
+        _width, masks = family
+        unique = set(masks)
+        maximal = [
+            m for m in unique if not any(m != o and m & o == m for o in unique)
+        ]
+        assert list(maximalize_masks(masks)) == sorted(maximal, key=_positions_key)
+
+
 class TestKernelEquivalence:
     def test_minimalize_matches_minimize_family(self):
         for universe, edges in random_families():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -322,3 +323,205 @@ class TestMaskKernelEquivalence:
         assert policy is not PAPER_POLICY and policy == PAPER_POLICY
         assert MaskNodes(plan.g, plan.h, policy).policy is PAPER_POLICY
         assert MaskNodes(plan.g, plan.h, REVERSE_POLICY).policy is REVERSE_POLICY
+
+
+# ---------------------------------------------------------------------------
+# The tree walk against the materialised tree
+# ---------------------------------------------------------------------------
+
+def _not_dual(method, label, witness, swapped, stats):
+    from repro.duality.result import FailureKind, not_dual_result
+
+    direction = "H wrt G" if swapped else "G wrt H"
+    return not_dual_result(
+        method,
+        FailureKind.MISSING_TRANSVERSAL,
+        witness=witness,
+        detail=f"fail leaf {label}: new transversal of {direction}",
+        path=label,
+        stats=stats,
+    )
+
+
+def _oriented(g, h):
+    entry = prepare_instance(g, h)
+    assert entry.ok
+    swapped = len(entry.h) > len(entry.g)
+    return (entry.h, entry.g, swapped) if swapped else (entry.g, entry.h, swapped)
+
+
+def _bm_from_tree(g, h):
+    """``decide_boros_makino`` recomputed from the materialised tree."""
+    from repro.duality.result import DecisionStats, dual_result
+
+    g_v, h_v, swapped = _oriented(g, h)
+    tree = build_tree(g_v, h_v)
+    stats = DecisionStats(
+        nodes=tree.node_count(),
+        max_depth=tree.depth(),
+        max_children=tree.max_branching(),
+        base_cases=sum(1 for _ in tree.leaves()),
+    )
+    stats.extra["swapped"] = swapped
+    fails = tree.fail_leaves()
+    if not fails:
+        return dual_result("boros-makino", stats)
+    first = min(fails, key=lambda node: node.attrs.label)
+    return _not_dual(
+        "boros-makino", first.attrs.label, first.attrs.witness, swapped, stats
+    )
+
+
+def _logspace_from_listing(g, h):
+    """``decide_logspace`` recomputed from Theorem 4.1's ``decompose``
+    listing plus a metered ``pathnode`` run on its deepest path."""
+    from repro.duality.logspace import pathnode_metered
+    from repro.duality.result import DecisionStats, dual_result
+
+    g_v, h_v, swapped = _oriented(g, h)
+    listing = decompose(g_v, h_v)["vertices"]  # label order = pre-order
+    max_depth = max(attrs.depth for attrs in listing)
+    deepest = next(a.label for a in listing if a.depth == max_depth)
+    _attrs, meter = pathnode_metered(g_v, h_v, deepest)
+    stats = DecisionStats(
+        nodes=len(listing), max_depth=max_depth, peak_space_bits=meter.peak_bits
+    )
+    stats.extra["swapped"] = swapped
+    fails = [attrs for attrs in listing if attrs.mark is Mark.FAIL]
+    if not fails:
+        return dual_result("logspace", stats)
+    return _not_dual("logspace", fails[0].label, fails[0].witness, swapped, stats)
+
+
+@lru_cache(maxsize=None)
+def _tree_oracles():
+    """Per instance of :data:`EQUIVALENCE_INSTANCES`: both deciders'
+    answers recomputed from the materialised tree, and the ``bm`` and
+    ``ls`` shard items of a 4-shard plan with each shard's subtree
+    aggregates.  Computed once, on the mask kernel (the reference builds
+    the same trees, see :class:`TestMaskKernelEquivalence`)."""
+    from repro.parallel.executor import shard_worker_items
+    from repro.parallel.planner import plan_bm, plan_logspace
+
+    oracles = []
+    for name, g, h in EQUIVALENCE_INSTANCES:
+        bm_shards, ls_shards = [], []
+        plan = plan_bm(g, h, target_shards=4)
+        if plan.resolved is None:
+            tree = build_tree(plan.g, plan.h)
+            for shard, item in zip(plan.shards, shard_worker_items(plan)):
+                subtree = list(tree.find(shard.payload[0]).walk())
+                fails = [
+                    (n.attrs.label, n.attrs.witness)
+                    for n in subtree
+                    if not n.children and n.attrs.mark is Mark.FAIL
+                ]
+                bm_shards.append((item, (
+                    len(subtree),
+                    max(n.attrs.depth for n in subtree),
+                    max(len(n.children) for n in subtree),
+                    sum(1 for n in subtree if not n.children),
+                    [min(fails)] if fails else [],
+                )))
+        plan = plan_logspace(g, h, target_shards=4)
+        if plan.resolved is None:
+            listing = decompose(plan.g, plan.h)["vertices"]
+            for shard, item in zip(plan.shards, shard_worker_items(plan)):
+                label = tuple(shard.payload[0])
+                subtree = [a for a in listing if a.label[: len(label)] == label]
+                max_depth = max(a.depth for a in subtree)
+                fails = [a for a in subtree if a.mark is Mark.FAIL]
+                ls_shards.append((item, (
+                    len(subtree),
+                    max_depth,
+                    next(a.label for a in subtree if a.depth == max_depth),
+                    (fails[0].label, fails[0].witness) if fails else None,
+                )))
+        oracles.append((
+            name, g, h,
+            _bm_from_tree(g, h), _logspace_from_listing(g, h),
+            bm_shards, ls_shards,
+        ))
+    return oracles
+
+
+#: Both node steps: the mask kernel and the frozenset reference.
+NODE_STEPS = pytest.mark.parametrize(
+    "reference", [False, True], ids=["kernel", "reference"]
+)
+
+
+class TestTreeWalkOracle:
+    """The deciders walk scope masks; the oracle builds the tree.
+
+    Verdict, certificate, method and every ``DecisionStats`` field
+    (``peak_space_bits`` and ``extra`` included) must agree, on the
+    golden corpus and seeded random dual and dropped-edge pairs in both
+    orientations, under either node step.
+    """
+
+    @staticmethod
+    def _mode(reference):
+        from contextlib import nullcontext
+
+        return frozenset_reference() if reference else nullcontext()
+
+    @NODE_STEPS
+    def test_decide_boros_makino_equals_the_built_tree(self, reference):
+        from repro.duality.result import Verdict
+
+        verdicts = set()
+        with self._mode(reference):
+            for name, g, h, bm, _ls, _bms, _lss in _tree_oracles():
+                result = decide_boros_makino(g, h)
+                assert result == bm, name
+                verdicts.add(result.verdict)
+        assert verdicts == {Verdict.DUAL, Verdict.NOT_DUAL}
+
+    @NODE_STEPS
+    def test_decide_logspace_equals_the_decompose_listing(self, reference):
+        from repro.duality.logspace import decide_logspace
+
+        with self._mode(reference):
+            for name, g, h, _bm, ls, _bms, _lss in _tree_oracles():
+                assert decide_logspace(g, h) == ls, name
+
+    @NODE_STEPS
+    def test_bm_shards_report_their_subtree(self, reference):
+        from repro.parallel.executor import run_bm_shard
+
+        shards = 0
+        with self._mode(reference):
+            for name, _g, _h, _bm, _ls, bm_shards, _lss in _tree_oracles():
+                for item, expected in bm_shards:
+                    assert run_bm_shard(item) == expected, (name, item[1])
+                    shards += 1
+        assert shards > 100
+
+    @NODE_STEPS
+    def test_ls_shards_report_their_subtree(self, reference):
+        from repro.parallel.executor import run_ls_shard
+
+        shards = 0
+        with self._mode(reference):
+            for name, _g, _h, _bm, _ls, _bms, ls_shards in _tree_oracles():
+                for item, expected in ls_shards:
+                    assert run_ls_shard(item) == expected, (name, item[1])
+                    shards += 1
+        assert shards > 100
+
+    def test_logspace_decide_memoises_one_path_not_the_tree(self):
+        """Only the metered deepest path goes through ``next``: its root
+        finalisation plus one expansion and one finalisation per level."""
+        from repro.duality import logspace
+
+        g, h = matching_dual_pair(7)
+        logspace._finalize_scope.cache_clear()
+        logspace._children_scopes.cache_clear()
+        result = logspace.decide_logspace(g, h)
+        entries = (
+            logspace._finalize_scope.cache_info().currsize
+            + logspace._children_scopes.cache_info().currsize
+        )
+        assert result.is_dual and result.stats.nodes > 400
+        assert 0 < entries <= 2 * result.stats.max_depth + 1

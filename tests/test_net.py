@@ -9,11 +9,13 @@ The contracts:
   abandoning its response, and a malformed or oversized request line
   each cost at most their own connection, never the server or the
   other clients;
-* **crash-safe persistence** — the cache file on disk is always a
-  loadable generation: saves are atomic (``kill -9`` mid-save leaves
-  the previous generation), a corrupt file degrades to an empty cache
-  with a warning, and a service session that dies after ``drain`` has
-  already persisted every verdict it computed.
+* **crash-safe persistence** — a server with ``store=`` appends each
+  computed verdict to the store's journal before it answers, so a
+  verdict a client has seen survives the process; a later server on
+  the same file answers it as a cache hit, and a service session that
+  dies after ``drain`` loses nothing.  A corrupt or unreadable store
+  file degrades to misses with a warning and never blocks startup, and
+  a cache hit writes nothing.
 """
 
 from __future__ import annotations
@@ -723,7 +725,7 @@ class TestCrashSafePersistence:
             assert replay.result.verdict == original.result.verdict
             assert replay.result.certificate == original.result.certificate
 
-    def test_save_skips_when_nothing_new(self, tmp_path):
+    def test_cache_hit_appends_no_journal_bytes_and_no_puts(self, tmp_path):
         with EngineService(method="fk-b", store=tmp_path / "s.db") as service:
             service.solve(*matching_dual_pair(2))
             puts = service.store.puts
